@@ -191,11 +191,12 @@ def _build_runs(ops):
     return runs
 
 
-def _make_engine(workload: Workload, algo: str):
+def make_engine(algo: str, domain: Domain):
+    """Fresh empty structure of kind `algo` (one of ALGOS) over `domain`."""
     if algo == "lict":
-        return LiChaoTree(workload.domain)
+        return LiChaoTree(domain)
     if algo == "zkw":
-        return ZkwTree(workload.domain.lo, workload.domain.size)
+        return ZkwTree(domain.lo, domain.size)
     return LineContainer()
 
 
@@ -225,7 +226,7 @@ def run_benchmark(workload: Workload, algo: str, reps: int) -> BenchResult:
     query_times = []
     checksums = []
     for _ in range(reps):
-        engine = _make_engine(workload, algo)
+        engine = make_engine(algo, workload.domain)
         ins_t = 0.0
         q_t = 0.0
         h = _FNV_OFFSET

@@ -14,14 +14,12 @@ point, so replay output is diffable text and identical across algorithms.
 import argparse
 import sys
 
-from .baseline import LineContainer
-from .bench import (ChecksumMismatchError, WorkloadMismatchError, append_csv,
-                    gen_hull_workload, gen_nc_workload, gen_random_workload,
-                    run_benchmark)
+from .bench import (ALGOS, ChecksumMismatchError, WorkloadMismatchError,
+                    append_csv, gen_hull_workload, gen_nc_workload,
+                    gen_random_workload, make_engine, run_benchmark)
 from .core import (I64_MAX, I64_MIN, Domain, InvalidDomainError,
-                   InvalidSegmentError, LiChaoTree, OutOfDomainError)
+                   InvalidSegmentError, OutOfDomainError)
 from .verify import gen_verify_ops, run_verify
-from .zkw import ZkwTree
 
 
 class OpsFileError(ValueError):
@@ -98,11 +96,14 @@ def cmd_verify(args) -> int:
               "--segments", file=sys.stderr)
         return 2
     ops = gen_verify_ops(args.ops, args.c, args.seed, segments=args.segments)
-    include_zkw = (not args.segments) and args.c == len(ops)
+    full_lines = not args.segments
+    include_zkw = full_lines and args.c == len(ops)
     report = run_verify(ops, args.c, include_zkw=include_zkw,
+                        include_cht=full_lines,
                         include_persistent=args.persistent)
     if report.ok:
         engines = "lict" + ("+zkw" if include_zkw else "") + \
+                  ("+cht" if full_lines else "") + \
                   ("+persistent" if args.persistent else "")
         print(f"OK: {report.queries_checked} queries checked over "
               f"{report.ops_total} ops (universe {args.c}, seed {args.seed}, "
@@ -134,12 +135,7 @@ def cmd_replay(args) -> int:
         print(f"error: segments in {args.file} need --algo lict",
               file=sys.stderr)
         return 2
-    if args.algo == "lict":
-        engine = LiChaoTree(domain)
-    elif args.algo == "zkw":
-        engine = ZkwTree(domain.lo, domain.size)
-    else:
-        engine = LineContainer()
+    engine = make_engine(args.algo, domain)
     for op in ops:
         if op[0] == "A":
             engine.insert_line((op[1], op[2]))
@@ -164,7 +160,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="generate a workload and time one algo")
     p.add_argument("--n", type=int, required=True, help="op count")
     p.add_argument("--dist", choices=("random", "hull"), default="random")
-    p.add_argument("--algo", choices=("lict", "zkw", "cht"), required=True)
+    p.add_argument("--algo", choices=ALGOS, required=True)
     p.add_argument("--nc", action="store_true",
                    help="static-universe regime: coordinate range sized by "
                         "the op count (required for --algo zkw)")
@@ -186,7 +182,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("replay", help="execute an op file, print answers")
     p.add_argument("--file", required=True)
-    p.add_argument("--algo", choices=("lict", "zkw", "cht"), default="lict")
+    p.add_argument("--algo", choices=ALGOS, default="lict")
     p.add_argument("--domain", type=int, nargs=2, required=True,
                    metavar=("LO", "HI"))
     p.set_defaults(func=cmd_replay)

@@ -8,7 +8,8 @@ every operation touches a single root-to-leaf path.
 
 Coordinates, slopes and intercepts are integers.  Arithmetic is exact
 (Python ints), and 64-bit-signed representability of k*x + b over the
-domain is enforced as a caller contract at insertion time.  Non-integer
+domain (for a segment, over its clamped range) is enforced as a caller
+contract at insertion time.  Non-integer
 coordinates are not supported natively; callers needing precision eps
 should prescale their coordinate range by 1/eps.
 
@@ -109,6 +110,34 @@ def _check_representable(k: int, b: int, lo: int, hi: int) -> None:
             )
 
 
+def audit_midpoint(nodes) -> list:
+    """Midpoint-invariant violations in a pre-order node stream.
+
+    `nodes` yields (handle, l, r, depth, line) in pre-order, `line` being
+    None for a node without one.  A node's line must not beat the line of
+    any ancestor at that ancestor's midpoint.  Returns violation tuples
+    (handle, m, stored_value, better_value) naming the ancestor, its
+    midpoint and its stored value.
+    """
+    violations = []
+    # (depth, handle, k, b, m) of the line-holding ancestors of the node
+    ancestors: list = []
+    for h, l, r, depth, line in nodes:
+        while ancestors and ancestors[-1][0] >= depth:
+            ancestors.pop()
+        if line is None:
+            continue
+        ck, cb = line
+        for _d, ah, ak, ab, am in ancestors:
+            stored = ak * am + ab
+            below = ck * am + cb
+            if below < stored:
+                violations.append((ah, am, stored, below))
+        if l < r:
+            ancestors.append((depth, h, ck, cb, (l + r) >> 1))
+    return violations
+
+
 class LiChaoTree:
     """Lazily allocated lower/upper-envelope tree over an integer domain.
 
@@ -124,23 +153,22 @@ class LiChaoTree:
     `orientation="max"` negates lines on insertion and negates query
     results, reusing the min-oriented comparison path.
 
-    With `check_routing=True` every insertion asserts that the line kept at
-    a node dominates the routed-away line on the opposite child's interval
+    With `audited=True` every insertion asserts that the line kept at a
+    node dominates the routed-away line on the opposite child's interval
     (checked at both interval endpoints, which suffices for linear
-    functions).  With `record_routing=True` every node remembers which
-    inserted lines were ever routed through it, enabling the post-hoc
-    `audit_routed_optimality` check.  Both are debugging aids and cost
-    extra time (and, for recording, memory) per insertion.
+    functions), and every node remembers which inserted lines were ever
+    routed through it, enabling the post-hoc `audit_routed_optimality`
+    check.  This is a debugging aid and costs extra time and memory per
+    insertion.
     """
 
     def __init__(self, domain: Domain, orientation: str = MIN,
-                 check_routing: bool = False, record_routing: bool = False):
+                 audited: bool = False):
         if orientation not in (MIN, MAX):
             raise ValueError(f"orientation must be {MIN!r} or {MAX!r}")
         self.domain = domain
         self.orientation = orientation
         self._neg = orientation == MAX
-        self._check_routing = check_routing
         # Node arena: parallel lists indexed by handle.  _k[h] is None for
         # pass-through nodes materialized by segment decomposition.
         self._k: list = []
@@ -151,10 +179,10 @@ class LiChaoTree:
         self._max_depth = 0
         #: nodes touched by the most recent insert/query operation
         self.last_visited = 0
-        # routing record (only with record_routing): one id per insertion
-        # event, a per-node list of ids routed through it, and the id of
-        # each node's currently stored line
-        self._records = ([], [], []) if record_routing else None
+        # routing record (only when audited): one id per insertion event, a
+        # per-node list of ids routed through it, and the id of each node's
+        # currently stored line
+        self._records = ([], [], []) if audited else None
 
     @property
     def node_count(self) -> int:
@@ -163,7 +191,9 @@ class LiChaoTree:
     def stats(self) -> TreeStats:
         return TreeStats(len(self._k), self._max_depth)
 
-    def _alloc(self, k, b, depth: int) -> int:
+    def _alloc(self, k, b, depth: int, lid=None) -> int:
+        # `lid` is the insertion event storing (k, b) here; None for
+        # pass-through nodes and when routing is not recorded
         self._k.append(k)
         self._b.append(b)
         self._left.append(NIL)
@@ -171,8 +201,8 @@ class LiChaoTree:
         if depth > self._max_depth:
             self._max_depth = depth
         if self._records is not None:
-            self._records[1].append([])
-            self._records[2].append(None)
+            self._records[1].append([] if lid is None else [lid])
+            self._records[2].append(lid)
         return len(self._k) - 1
 
     def _new_record_id(self, k: int, b: int):
@@ -196,31 +226,25 @@ class LiChaoTree:
 
         Returns (handle, visits): `handle` is `cur`, or the handle of the
         newly created node when `cur` was NIL.  At most one node is
-        allocated per call.  `lid` identifies the insertion event when
-        routing recording is on.
+        allocated per call.  `lid` identifies the insertion event when the
+        tree is audited.
         """
-        rec = self._records
         if cur == NIL:
-            h = self._alloc(k, b, depth)
-            if rec is not None:
-                rec[1][h].append(lid)
-                rec[2][h] = lid
-            return h, 1
+            return self._alloc(k, b, depth, lid), 1
+        rec = self._records
         K, B = self._k, self._b
         Lc, Rc = self._left, self._right
-        check = self._check_routing
         top = cur
         visits = 0
         while True:
             visits += 1
-            if rec is not None:
-                rec[1][cur].append(lid)
             ck = K[cur]
             if ck is None:
                 # pass-through node from a segment decomposition: adopt
                 K[cur] = k
                 B[cur] = b
                 if rec is not None:
+                    rec[1][cur].append(lid)
                     rec[2][cur] = lid
                 break
             cb = B[cur]
@@ -232,36 +256,31 @@ class LiChaoTree:
                 K[cur] = k
                 B[cur] = b
                 k, b, ck, cb = ck, cb, k, b
-                if rec is not None:
-                    lid, rec[2][cur] = rec[2][cur], lid
             # invariant here: (ck, cb) is the stored winner, (k, b) the loser
+            if rec is not None:
+                rec[1][cur].append(lid)
+                if midf:
+                    lid, rec[2][cur] = rec[2][cur], lid
+                if l < r:
+                    if lef != midf:
+                        self._assert_routing(ck, cb, k, b, m + 1, r)
+                    else:
+                        self._assert_routing(ck, cb, k, b, l, m)
             if l == r:
                 break  # single-coordinate leaf: the loser is dropped
             if lef != midf:
                 # crossing lies in [l, m]; loser continues left
-                if check:
-                    self._assert_routing(ck, cb, k, b, m + 1, r)
                 nxt = Lc[cur]
                 r = m
                 if nxt == NIL:
-                    nh = self._alloc(k, b, depth + 1)
-                    Lc[cur] = nh
-                    if rec is not None:
-                        rec[1][nh].append(lid)
-                        rec[2][nh] = lid
+                    Lc[cur] = self._alloc(k, b, depth + 1, lid)
                     visits += 1
                     break
             else:
-                if check:
-                    self._assert_routing(ck, cb, k, b, l, m)
                 nxt = Rc[cur]
                 l = m + 1
                 if nxt == NIL:
-                    nh = self._alloc(k, b, depth + 1)
-                    Rc[cur] = nh
-                    if rec is not None:
-                        rec[1][nh].append(lid)
-                        rec[2][nh] = lid
+                    Rc[cur] = self._alloc(k, b, depth + 1, lid)
                     visits += 1
                     break
             cur = nxt
@@ -290,6 +309,8 @@ class LiChaoTree:
         no-op.  The covered range decomposes into O(log C) canonical node
         intervals, each receiving an independent line insertion; nodes
         traversed on the way are materialized with absent lines as needed.
+        Raises OverflowError if the line is not 64-bit representable across
+        the clamped range.
         """
         if xl > xr:
             raise InvalidSegmentError(f"segment bounds reversed: [{xl}, {xr}]")
@@ -297,12 +318,13 @@ class LiChaoTree:
         if self._neg:
             k, b = -k, -b
         d = self.domain
-        _check_representable(k, b, d.lo, d.hi)
         lo = xl if xl > d.lo else d.lo
         hi = xr if xr < d.hi else d.hi
         if lo > hi:
             self.last_visited = 0
             return
+        # every evaluation below lies in [lo, hi]
+        _check_representable(k, b, lo, hi)
         lid = self._new_record_id(k, b)
         Lc, Rc = self._left, self._right
         visits = 0
@@ -390,12 +412,11 @@ class LiChaoTree:
         form that holds once segments are involved: a segment's line enters
         the tree at its canonical subtrees without competing above them, so
         it may legally beat an ancestor's stored line at the ancestor's
-        midpoint.  Requires `record_routing=True`.  Returns violation
-        tuples (handle, m, stored_value, better_value).
+        midpoint.  Requires `audited=True`.  Returns violation tuples
+        (handle, m, stored_value, better_value).
         """
         if self._records is None:
-            raise ValueError(
-                "routed-optimality audit needs record_routing=True")
+            raise ValueError("routed-optimality audit needs audited=True")
         lines, routed, _ = self._records
         violations = []
         for h, l, r, _depth, line in self.iter_nodes():
@@ -422,34 +443,4 @@ class LiChaoTree:
         tuples (handle, m, stored_value, better_value); empty means the
         invariant holds everywhere.
         """
-        violations = []
-        K, B = self._k, self._b
-        Lc, Rc = self._left, self._right
-
-        # ancestors: stack of (k, b, m) for nodes with a stored line on the
-        # current path; every line below must not beat them at their m.
-        ancestors: list = []
-
-        def walk(h: int, l: int, r: int) -> None:
-            ck = K[h]
-            if ck is not None:
-                cb = B[h]
-                for ak, ab, am in ancestors:
-                    stored = ak * am + ab
-                    below = ck * am + cb
-                    if below < stored:
-                        violations.append((h, am, stored, below))
-                if l < r:
-                    ancestors.append((ck, cb, (l + r) >> 1))
-            if l < r:
-                m = (l + r) >> 1
-                if Lc[h] != NIL:
-                    walk(Lc[h], l, m)
-                if Rc[h] != NIL:
-                    walk(Rc[h], m + 1, r)
-                if ck is not None:
-                    ancestors.pop()
-
-        if self._root != NIL:
-            walk(self._root, self.domain.lo, self.domain.hi)
-        return violations
+        return audit_midpoint(self.iter_nodes())

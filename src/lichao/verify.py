@@ -80,13 +80,16 @@ class VerifyReport:
 
 
 def run_verify(ops: list, c: int, *, include_zkw: bool = False,
-               include_cht: bool = False, include_persistent: bool = False,
-               check_routing: bool = True, check_bounds: bool = True,
-               audit: bool = True) -> VerifyReport:
+               include_cht: bool = False,
+               include_persistent: bool = False) -> VerifyReport:
     """Replay `ops` over universe [0, c-1] through every selected engine.
 
-    The core tree always participates.  Returns a report; `ok` is True iff
-    every query matched the oracle exactly and no structural guard fired.
+    The core tree always participates, built with `audited=True`.  Every
+    check runs on every call: routing dominance on each core insertion,
+    per-op visit bounds for every tree engine, the node-count bound on
+    full-line runs, and the routed and midpoint audits at the end.  Returns
+    a report; `ok` is True iff every query matched the oracle exactly and
+    no structural guard fired.
     """
     has_segments = any(op[0] == "S" for op in ops)
     if has_segments and (include_zkw or include_cht or include_persistent):
@@ -94,15 +97,13 @@ def run_verify(ops: list, c: int, *, include_zkw: bool = False,
 
     domain = Domain(0, c - 1)
     h = domain.depth_bound
+    # one root-to-leaf path; for zkw, over P = 2^h padded coordinates
     line_limit = h + 1
     seg_limit = 4 * (h + 1) * (h + 1)
 
-    tree = LiChaoTree(domain, check_routing=check_routing,
-                      record_routing=audit)
+    tree = LiChaoTree(domain, audited=True)
     naive = NaiveSet()
     zkw = ZkwTree(0, c) if include_zkw else None
-    # a full root-to-leaf path over P = 2^t padded coordinates has t+1 cells
-    zkw_limit = zkw._p.bit_length() if zkw is not None else 0
     cht = LineContainer() if include_cht else None
     forest = PersistentForest(domain) if include_persistent else None
     latest = 0
@@ -116,29 +117,28 @@ def run_verify(ops: list, c: int, *, include_zkw: bool = False,
             tree.insert_line(line)
             naive.add_line(line)
             report.line_inserts += 1
-            if check_bounds:
-                if tree.last_visited > line_limit:
-                    report.bound_violations.append(
-                        (idx, "lict-insert-visits", tree.last_visited,
-                         line_limit))
-                if report.seg_inserts == 0 and \
-                        tree.node_count > report.line_inserts:
-                    report.bound_violations.append(
-                        (idx, "lict-node-count", tree.node_count,
-                         report.line_inserts))
+            if tree.last_visited > line_limit:
+                report.bound_violations.append(
+                    (idx, "lict-insert-visits", tree.last_visited,
+                     line_limit))
+            if report.seg_inserts == 0 and \
+                    tree.node_count > report.line_inserts:
+                report.bound_violations.append(
+                    (idx, "lict-node-count", tree.node_count,
+                     report.line_inserts))
             if report.max_line_visits < tree.last_visited:
                 report.max_line_visits = tree.last_visited
             if zkw is not None:
                 zkw.insert_line(line)
-                if check_bounds and zkw.last_visited > zkw_limit:
+                if zkw.last_visited > line_limit:
                     report.bound_violations.append(
                         (idx, "zkw-insert-visits", zkw.last_visited,
-                         zkw_limit))
+                         line_limit))
             if cht is not None:
                 cht.insert_line(line)
             if forest is not None:
                 latest = forest.insert(latest, line)
-                if check_bounds and forest.last_appended > line_limit:
+                if forest.last_appended > line_limit:
                     report.bound_violations.append(
                         (idx, "persistent-appended", forest.last_appended,
                          line_limit))
@@ -147,7 +147,7 @@ def run_verify(ops: list, c: int, *, include_zkw: bool = False,
             tree.insert_segment(line, op[3], op[4])
             naive.add_segment(line, op[3], op[4])
             report.seg_inserts += 1
-            if check_bounds and tree.last_visited > seg_limit:
+            if tree.last_visited > seg_limit:
                 report.bound_violations.append(
                     (idx, "lict-segment-visits", tree.last_visited,
                      seg_limit))
@@ -158,7 +158,7 @@ def run_verify(ops: list, c: int, *, include_zkw: bool = False,
             expected = naive.query(x)
             report.queries_checked += 1
             got = tree.query(x)
-            if check_bounds and tree.last_visited > line_limit:
+            if tree.last_visited > line_limit:
                 report.bound_violations.append(
                     (idx, "lict-query-visits", tree.last_visited, line_limit))
             diverged = None
@@ -166,10 +166,10 @@ def run_verify(ops: list, c: int, *, include_zkw: bool = False,
                 diverged = ("lict", got)
             if diverged is None and zkw is not None:
                 got_z = zkw.query(x)
-                if check_bounds and zkw.last_visited > zkw_limit:
+                if zkw.last_visited > line_limit:
                     report.bound_violations.append(
                         (idx, "zkw-query-visits", zkw.last_visited,
-                         zkw_limit))
+                         line_limit))
                 if got_z != expected:
                     diverged = ("zkw", got_z)
             if diverged is None and cht is not None:
@@ -197,7 +197,7 @@ def run_verify(ops: list, c: int, *, include_zkw: bool = False,
         report.failure = (
             f"{len(report.bound_violations)} structural bound violation(s), "
             f"first: {report.bound_violations[0]}")
-    if report.ok and audit:
+    if report.ok:
         # The subtree form of the audit is equivalent to the routed-through
         # invariant only when every line competed from the root, i.e. for
         # full-line workloads; segment runs get the routed form alone.

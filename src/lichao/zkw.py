@@ -14,10 +14,10 @@ Concurrency: single writer; concurrent readers are safe while no writer
 is active.
 """
 
-from typing import Optional
+from typing import Iterator, Optional
 
-from .core import (InvalidDomainError, OutOfDomainError,
-                   _check_representable)
+from .core import (InvalidDomainError, Line, OutOfDomainError,
+                   _check_representable, audit_midpoint)
 
 
 class ZkwTree:
@@ -107,6 +107,26 @@ class ZkwTree:
         self.last_visited = visits
         return best
 
+    def iter_nodes(self) -> Iterator["tuple[int, int, int, int, Line]"]:
+        """Yield (cell, l, r, depth, line) for every cell holding a line.
+
+        Intervals are in external coordinates and include the padding.
+        Pre-order; the subtree under an empty cell is empty and skipped.
+        """
+        off = self.lo
+        K, B = self._k, self._b
+        stack = [(1, 0, self._p - 1, 0)]
+        while stack:
+            i, l, r, depth = stack.pop()
+            ck = K[i]
+            if ck is None:
+                continue
+            yield i, l + off, r + off, depth, Line(ck, B[i])
+            if l < r:
+                m = (l + r) >> 1
+                stack.append((2 * i + 1, m + 1, r, depth + 1))
+                stack.append((2 * i, l, m, depth + 1))
+
     def audit_midpoint_optimality(self) -> list:
         """Full-traversal check of the per-cell midpoint invariant.
 
@@ -114,30 +134,4 @@ class ZkwTree:
         empty means every stored line is minimal at its cell's midpoint
         among the lines in that cell's subtree.
         """
-        violations = []
-        K, B = self._k, self._b
-        off = self.lo
-        p = self._p
-        # lines claimed by ancestors of the cell being walked, with their
-        # external midpoints
-        ancestors: list = []
-
-        def walk(i: int, l: int, r: int) -> None:
-            ck = K[i]
-            if ck is None:
-                return  # cells below a never-stored cell are empty too
-            cb = B[i]
-            for ak, ab, am in ancestors:
-                stored = ak * am + ab
-                below = ck * am + cb
-                if below < stored:
-                    violations.append((i, am, stored, below))
-            if l < r:
-                m = (l + r) >> 1
-                ancestors.append((ck, cb, m + off))
-                walk(2 * i, l, m)
-                walk(2 * i + 1, m + 1, r)
-                ancestors.pop()
-
-        walk(1, 0, p - 1)
-        return violations
+        return audit_midpoint(self.iter_nodes())

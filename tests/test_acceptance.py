@@ -33,8 +33,7 @@ def full_line_reports():
     for seed in range(100):
         ops = gen_verify_ops(10_000, FUZZ_C, seed)
         reports.append(run_verify(
-            ops, FUZZ_C, include_zkw=True, include_cht=True,
-            check_routing=False, check_bounds=True, audit=True))
+            ops, FUZZ_C, include_zkw=True, include_cht=True))
     print(f"\n[acceptance] full-line fuzz batch: 100 seeds x 10^4 ops "
           f"in {time.perf_counter() - t0:.1f}s")
     return reports
@@ -46,8 +45,7 @@ def segment_reports():
     t0 = time.perf_counter()
     for seed in range(50):
         ops = gen_verify_ops(5_000, FUZZ_C, 10_000 + seed, segments=True)
-        reports.append(run_verify(
-            ops, FUZZ_C, check_routing=False, check_bounds=True, audit=True))
+        reports.append(run_verify(ops, FUZZ_C))
     print(f"\n[acceptance] segment fuzz batch: 50 seeds x 5*10^3 ops "
           f"in {time.perf_counter() - t0:.1f}s")
     return reports

@@ -137,6 +137,17 @@ def test_verify_includes_zkw_when_universe_equals_ops(capsys):
     assert "lict+zkw" in out
 
 
+def test_verify_checks_cht_on_full_lines_only(capsys):
+    code, out, _ = run(capsys, "verify", "--ops", "1024", "--c", "1024",
+                       "--seed", "3")
+    assert code == 0
+    assert "engines lict+zkw+cht)" in out
+    code, out, _ = run(capsys, "verify", "--ops", "600", "--c", "256",
+                       "--segments", "--seed", "5")
+    assert code == 0
+    assert "engines lict)" in out
+
+
 def test_verify_persistent(capsys):
     code, out, _ = run(capsys, "verify", "--ops", "600", "--c", "256",
                        "--persistent", "--seed", "4")

@@ -3,7 +3,7 @@ import pytest
 
 from lichao import (Domain, I64_MAX, I64_MIN, InvalidDomainError,
                     InvalidSegmentError, LiChaoTree, Line, NaiveSet,
-                    OutOfDomainError)
+                    OutOfDomainError, RoutingDominanceError)
 
 # four lines whose insertion exercises keep, route-left, route-right and a
 # displacement swap on the [0, 8] domain
@@ -175,6 +175,37 @@ def test_segment_reversed_bounds_raise():
     with pytest.raises(InvalidSegmentError):
         t.insert_segment((1, 1), 9, 3)
     assert t.node_count == 0
+
+
+def test_segment_is_checked_over_its_clamped_range_only():
+    t = LiChaoTree(Domain(0, 10**12))
+    # 10^7 * 10^12 overflows at the domain's end, but not on [0, 10]
+    t.insert_segment((10**7, 0), 0, 10)
+    assert t.query(5) == 5 * 10**7
+    with pytest.raises(OverflowError):
+        t.insert_segment((10**7, 0), 10**12 - 5, 3 * 10**12)
+
+
+def test_audits_report_a_planted_line():
+    t = build(Domain(0, 7), [(1, 0), (-1, 7)], audited=True)
+    assert t.audit_midpoint_optimality() == []
+    assert t.audit_routed_optimality() == []
+    root = t._root
+    t._k[root], t._b[root] = 0, 10**6  # far worse at the root midpoint 3
+    assert {v[0] for v in t.audit_midpoint_optimality()} == {root}
+    assert {v[0] for v in t.audit_routed_optimality()} == {root}
+
+
+def test_routed_audit_needs_an_audited_tree():
+    with pytest.raises(ValueError):
+        build(Domain(0, 7), [(1, 0)]).audit_routed_optimality()
+
+
+def test_routing_assertion_fires_when_the_loser_wins_elsewhere():
+    t = LiChaoTree(Domain(0, 7), audited=True)
+    t._assert_routing(0, 0, 0, 10, 0, 3)  # winner below loser on [0, 3]
+    with pytest.raises(RoutingDominanceError):
+        t._assert_routing(0, 10, 0, 0, 0, 3)
 
 
 def test_stats_after_inserts():

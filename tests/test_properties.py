@@ -67,12 +67,12 @@ def test_min_max_duality(ls):
 @given(ls=lines)
 def test_routing_dominance_holds_on_every_insertion(ls):
     # instrumented tree raises RoutingDominanceError on any violation
-    _answers(ls, check_routing=True)
+    _answers(ls, audited=True)
 
 
 @given(ls=lines)
 def test_midpoint_invariant_after_full_line_inserts(ls):
-    t = LiChaoTree(DOM, record_routing=True)
+    t = LiChaoTree(DOM, audited=True)
     for ln in ls:
         t.insert_line(ln)
     assert t.audit_midpoint_optimality() == []
@@ -99,7 +99,7 @@ def test_all_structures_agree_with_the_oracle(ls):
 
 @given(data=st.data())
 def test_segments_agree_with_the_oracle(data):
-    t = LiChaoTree(DOM, check_routing=True, record_routing=True)
+    t = LiChaoTree(DOM, audited=True)
     naive = NaiveSet()
     n_ops = data.draw(st.integers(min_value=1, max_value=25))
     for _ in range(n_ops):

@@ -89,15 +89,28 @@ def test_no_allocation_after_construction():
 
 
 def test_visit_bound_is_log_of_padded_size():
-    z = ZkwTree(0, 1000)  # P = 1024, paths have at most 11 cells
-    limit = z._p.bit_length()
-    rng = np.random.default_rng(4)
-    for _ in range(200):
-        z.insert_line((int(rng.integers(-500, 500)),
-                       int(rng.integers(-10**6, 10**6))))
-        assert z.last_visited <= limit
-        z.query(int(rng.integers(0, 1000)))
-        assert z.last_visited <= limit
+    # a path over the padded size P = 2^h has h+1 cells, h the core depth
+    # bound
+    for c in (1, 2, 3, 1000, 1024, 1025):
+        z = ZkwTree(0, c)
+        limit = Domain(0, c - 1).depth_bound + 1
+        assert z._p.bit_length() == limit
+        rng = np.random.default_rng(4)
+        for _ in range(200):
+            z.insert_line((int(rng.integers(-500, 500)),
+                           int(rng.integers(-10**6, 10**6))))
+            assert z.last_visited <= limit
+            z.query(int(rng.integers(0, c)))
+            assert z.last_visited <= limit
+
+
+def test_audit_reports_a_planted_line():
+    z = ZkwTree(0, 8)
+    z.insert_line((1, 0))
+    z.insert_line((-1, 7))  # loses at the root midpoint 3, stored below
+    assert z.audit_midpoint_optimality() == []
+    z._k[1], z._b[1] = 0, 10**6  # root line now far worse at x = 3
+    assert {v[0] for v in z.audit_midpoint_optimality()} == {1}
 
 
 def test_offset_domain():
