@@ -9,6 +9,14 @@ and are never mutated after creation, so any number of version histories
 Only full-line insertion is persistent; a persistent segment insertion
 would copy O(log^2 C) nodes per operation and is out of scope.
 
+`query_many(version, xs)` equals `[query(version, x) for x in xs]`.  The
+arena has the layout and midpoint rule of `LiChaoTree`, so long runs take
+the same numpy level-walk kernel (`core._walk_batch`), under the same
+dispatch rules and the same exactness argument (see `lichao.core`).  The
+kernel gets only the nodes the queried version reaches, renumbered, since
+the arena also holds every older version.  The size rule still weighs the
+whole arena, which errs toward the scalar loop.
+
 Concurrency: insertions serialize (they append to the shared arena).
 Queries on any committed version are safe concurrently with each other and
 with one in-flight insertion, because a new version's root is published
@@ -17,8 +25,8 @@ only after all of its nodes have been written.
 
 from typing import Optional
 
-from .core import (MAX, MIN, NIL, Domain, OutOfDomainError,
-                   _check_representable)
+from .core import (_BATCH_MIN, MAX, MIN, NIL, Domain, OutOfDomainError,
+                   _check_representable, _walk_batch)
 
 
 class UnknownVersionError(ValueError):
@@ -140,6 +148,39 @@ class PersistentForest:
         if best is None:
             return None
         return -best if self._neg else best
+
+    def query_many(self, version: int, xs) -> "list[Optional[int]]":
+        """Envelope values at every x of the sequence `xs` against the
+        given version; equals `[self.query(version, x) for x in xs]` and
+        raises UnknownVersionError for a bad version even when `xs` is
+        empty."""
+        if (len(xs) < _BATCH_MIN
+                or type(self).query is not PersistentForest.query
+                or len(xs) * (self.domain.depth_bound + 1) < len(self._k)):
+            return self._query_loop(version, xs)
+        return self._query_batch(version, xs)
+
+    def _query_batch(self, version: int, xs) -> "list[Optional[int]]":
+        """`query_many` through the kernel whatever the run length.  The
+        kernel gets only the nodes the version reaches, renumbered in
+        pre-order; a version is a tree, usually far smaller than the arena
+        the older versions fill."""
+        order = self.version_nodes(version)
+        number = dict(zip(order, range(len(order))))
+        number[NIL] = NIL
+        K, B, Lc, Rc = self._k, self._b, self._left, self._right
+        d = self.domain
+        got = _walk_batch([K[h] for h in order], [B[h] for h in order],
+                          [number[Lc[h]] for h in order],
+                          [number[Rc[h]] for h in order],
+                          0 if order else NIL, d.lo, d.hi, xs, self._neg)
+        return self._query_loop(version, xs) if got is None else got
+
+    def _query_loop(self, version: int, xs) -> "list[Optional[int]]":
+        if not len(xs):
+            self._check_version(version)  # `query` checks it otherwise
+        q = self.query
+        return [q(version, x) for x in xs]
 
     def version_nodes(self, version: int) -> "list[int]":
         """Handles of all nodes reachable from a version's root, pre-order."""

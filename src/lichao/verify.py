@@ -5,11 +5,14 @@ them simultaneously through the real structures and the naive oracle, and
 checks every query answer for exact equality.  Structural guards run along
 the way: per-op visited-node bounds, the node-count bound for full-line
 workloads, routing-dominance assertions inside the instrumented tree, and
-a full midpoint-optimality audit at the end.
+a full midpoint-optimality audit at the end.  The batch query kernel is
+checked last, on the final state.
 
 On a mismatch the minimal failing prefix is the op list truncated right
 after the first divergent query (all earlier queries matched, so no
-shorter prefix can fail).
+shorter prefix can fail); a routing-dominance violation truncates it after
+the insertion that raised.  A batch-kernel mismatch names the whole op
+list, since only the final state was queried.
 """
 
 from dataclasses import dataclass, field
@@ -18,7 +21,7 @@ from typing import Optional
 import numpy as np
 
 from .baseline import LineContainer
-from .core import I64_MAX, Domain, LiChaoTree
+from .core import I64_MAX, Domain, LiChaoTree, RoutingDominanceError
 from .oracle import NaiveSet
 from .persistent import PersistentForest
 from .zkw import ZkwTree
@@ -61,6 +64,11 @@ def gen_verify_ops(n_ops: int, c: int, seed: int,
     return ops
 
 
+# distinct query points at which the batch kernels are checked; each costs
+# an oracle query, and 64 of them took 2-5% of a run
+BATCH_POINTS = 16
+
+
 @dataclass
 class VerifyReport:
     ok: bool
@@ -87,9 +95,11 @@ def run_verify(ops: list, c: int, *, include_zkw: bool = False,
     The core tree always participates, built with `audited=True`.  Every
     check runs on every call: routing dominance on each core insertion,
     per-op visit bounds for every tree engine, the node-count bound on
-    full-line runs, and the routed and midpoint audits at the end.  Returns
-    a report; `ok` is True iff every query matched the oracle exactly and
-    no structural guard fired.
+    full-line runs, the routed and midpoint audits at the end, and then the
+    batch query kernel of the core tree and of the forest's latest version
+    at up to `BATCH_POINTS` distinct query points of the run, against the
+    oracle's final state.  Returns a report; `ok` is True iff every query
+    matched the oracle exactly and no structural guard fired.
     """
     has_segments = any(op[0] == "S" for op in ops)
     if has_segments and (include_zkw or include_cht or include_persistent):
@@ -114,7 +124,11 @@ def run_verify(ops: list, c: int, *, include_zkw: bool = False,
         tag = op[0]
         if tag == "A":
             line = (op[1], op[2])
-            tree.insert_line(line)
+            try:
+                tree.insert_line(line)
+            except RoutingDominanceError as err:
+                _routing_failure(report, ops, idx, err)
+                break
             naive.add_line(line)
             report.line_inserts += 1
             if tree.last_visited > line_limit:
@@ -144,7 +158,11 @@ def run_verify(ops: list, c: int, *, include_zkw: bool = False,
                          line_limit))
         elif tag == "S":
             line = (op[1], op[2])
-            tree.insert_segment(line, op[3], op[4])
+            try:
+                tree.insert_segment(line, op[3], op[4])
+            except RoutingDominanceError as err:
+                _routing_failure(report, ops, idx, err)
+                break
             naive.add_segment(line, op[3], op[4])
             report.seg_inserts += 1
             if tree.last_visited > seg_limit:
@@ -212,4 +230,41 @@ def run_verify(ops: list, c: int, *, include_zkw: bool = False,
             report.failure = (
                 f"midpoint-optimality audit failed at {len(violations)} "
                 f"node(s), first: {violations[0]}")
+    if report.ok:
+        _check_batch(report, ops, naive, tree, forest, latest)
     return report
+
+
+def _routing_failure(report: VerifyReport, ops: list, idx: int,
+                     err: RoutingDominanceError) -> None:
+    report.ok = False
+    report.failure = f"op {idx}: lict routing dominance violated: {err}"
+    report.failing_prefix = list(ops[:idx + 1])
+
+
+def _check_batch(report: VerifyReport, ops: list, naive: NaiveSet,
+                 tree: LiChaoTree, forest: Optional[PersistentForest],
+                 latest: int) -> None:
+    """Compare the batch kernels with the oracle on the final state."""
+    xs = []
+    for op in ops:
+        if op[0] == "Q" and op[1] not in xs:
+            xs.append(op[1])
+            if len(xs) == BATCH_POINTS:
+                break
+    if not xs:
+        return
+    expected = [naive.query(x) for x in xs]
+    batches = [("lict-batch", tree._query_batch(xs))]
+    if forest is not None:
+        batches.append(("persistent-batch", forest._query_batch(latest, xs)))
+    for engine, got in batches:
+        for x, want, have in zip(xs, expected, got):
+            if have != want:
+                report.ok = False
+                report.divergence = (len(ops) - 1, x, want, engine, have)
+                report.failing_prefix = list(ops)
+                report.failure = (
+                    f"final state: query({x}) expected {want}, "
+                    f"{engine} answered {have}")
+                return

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from lichao import Domain, LineContainer
+from lichao import Domain, LiChaoTree, LineContainer
 from lichao.bench import (ChecksumMismatchError, WorkloadMismatchError,
                           Workload, append_csv, ensure_consistent,
                           fold_answer, gen_hull_workload, gen_nc_workload,
@@ -96,6 +96,22 @@ def test_all_three_agree_on_nc_workloads():
         results = [run_benchmark(wl, algo, 1)
                    for algo in ("lict", "zkw", "cht")]
         ensure_consistent(results)
+
+
+def test_query_many_folds_to_the_lict_checksum():
+    for dist in ("random", "hull"):
+        wl = gen_nc_workload(4000, dist, 42)
+        t = LiChaoTree(wl.domain)
+        xs = []
+        for op in wl.ops:
+            if op[0] == "A":
+                t.insert_line((op[1], op[2]))
+            else:
+                xs.append(op[1])
+        h = 0xCBF29CE484222325
+        for v in t.query_many(xs):
+            h = fold_answer(h, v)
+        assert h == run_benchmark(wl, "lict", 1).checksum
 
 
 def test_hull_workload_checksums_agree():

@@ -1,4 +1,10 @@
+import re
+
+import pytest
+
+from lichao import LiChaoTree, PersistentForest, RoutingDominanceError
 from lichao.cli import main, parse_ops_file
+from lichao.verify import gen_verify_ops, run_verify
 
 
 def run(capsys, *argv):
@@ -153,6 +159,63 @@ def test_verify_persistent(capsys):
                        "--persistent", "--seed", "4")
     assert code == 0
     assert "persistent" in out
+
+
+def plant_routing_fault(monkeypatch, after):
+    """Make the routing assertion raise on its `after`-th call."""
+    calls = []
+
+    def assert_routing(self, *args):
+        calls.append(args)
+        if len(calls) == after:
+            raise RoutingDominanceError("planted")
+
+    monkeypatch.setattr(LiChaoTree, "_assert_routing", assert_routing)
+
+
+def failing_op_index(failure):
+    return int(re.search(r"op (\d+):", failure).group(1))
+
+
+@pytest.mark.parametrize("segments", [False, True])
+def test_verify_reports_a_routing_fault(monkeypatch, capsys, segments):
+    kind = "S" if segments else "A"
+    ops = [op for op in gen_verify_ops(400, 64, 1, segments=segments)
+           if op[0] in (kind, "Q")]
+    plant_routing_fault(monkeypatch, 30)
+    report = run_verify(ops, 64)
+    assert not report.ok
+    assert "lict routing dominance violated" in report.failure
+    idx = failing_op_index(report.failure)
+    assert ops[idx][0] == kind
+    assert report.failing_prefix == ops[:idx + 1]
+
+    plant_routing_fault(monkeypatch, 30)
+    code, out, err = run(capsys, "verify", "--ops", "400", "--c", "64",
+                         "--seed", "1", *(["--segments"] if segments else []))
+    assert code == 1 and out == ""
+    lines = err.splitlines()
+    assert lines[0].startswith("FAIL: op ")
+    assert "lict routing dominance violated" in lines[0]
+    assert lines[1] == "minimal failing prefix:"
+    assert len(lines) == 2 + failing_op_index(lines[0]) + 1
+
+
+@pytest.mark.parametrize("cls,engine", [(LiChaoTree, "lict-batch"),
+                                        (PersistentForest, "persistent-batch")])
+def test_verify_checks_the_batch_kernel(monkeypatch, cls, engine):
+    ops = gen_verify_ops(600, 256, 4)
+    orig = cls._query_batch
+
+    def off_by_one(self, *args):
+        return [None if v is None else v + 1 for v in orig(self, *args)]
+
+    monkeypatch.setattr(cls, "_query_batch", off_by_one)
+    report = run_verify(ops, 256, include_persistent=True)
+    assert not report.ok
+    assert report.divergence[3] == engine
+    assert report.failing_prefix == ops
+    assert engine in report.failure
 
 
 def test_verify_zero_ops_vacuously_passes(capsys):

@@ -4,6 +4,7 @@ import pytest
 from lichao import (Domain, I64_MAX, I64_MIN, InvalidDomainError,
                     InvalidSegmentError, LiChaoTree, Line, NaiveSet,
                     OutOfDomainError, RoutingDominanceError)
+from lichao.core import _walk_batch
 
 # four lines whose insertion exercises keep, route-left, route-right and a
 # displacement swap on the [0, 8] domain
@@ -274,3 +275,128 @@ def test_max_orientation_segments():
     mx.insert_segment((0, 7), 4, 9)
     assert mx.query(5) == 7
     assert mx.query(10) is None
+
+
+# --- batch queries: query_many, _query_batch and the kernel itself --------
+
+
+def kernel(t, xs):
+    """The level-walk kernel on a tree; None means it declined."""
+    d = t.domain
+    return _walk_batch(t._k, t._b, t._left, t._right, t._root, d.lo, d.hi,
+                       xs, t._neg)
+
+
+def assert_batches_match(t, xs, kernel_runs=True):
+    """query_many, _query_batch and the kernel all equal scalar query."""
+    expected = [t.query(x) for x in xs]
+    assert t.query_many(xs) == expected
+    assert t._query_batch(xs) == expected
+    assert kernel(t, xs) == (expected if kernel_runs else None)
+    return expected
+
+
+def test_query_many_on_an_empty_tree_and_empty_xs():
+    t = LiChaoTree(Domain(0, 8))
+    assert t.query_many([]) == [] and t._query_batch([]) == []
+    assert assert_batches_match(t, list(range(9)) * 15) == [None] * 135
+    t.insert_line((1, 0))
+    assert t.query_many([]) == [] and t._query_batch([]) == []
+
+
+def test_query_many_on_a_single_point_domain():
+    t = LiChaoTree(Domain(5, 5))
+    t.insert_line((3, -1))
+    t.insert_line((2, 1))
+    assert assert_batches_match(t, [5] * 130) == [11] * 130
+
+
+def test_query_many_across_segment_pass_through_nodes():
+    t = LiChaoTree(Domain(-40, 87))
+    t.insert_segment((2, 3), -10, 20)
+    t.insert_segment((-1, 50), 30, 200)
+    t.insert_segment((0, -7), 5, 5)
+    got = assert_batches_match(t, list(range(-40, 88)))
+    assert None in got and -7 in got
+    assert t._k.count(None) > 0
+    t.insert_line((0, 10**6))
+    assert None not in assert_batches_match(t, list(range(-40, 88)))
+
+
+def test_query_many_max_orientation_reaches_two_to_the_63():
+    t = LiChaoTree(Domain(0, 1), "max")
+    t.insert_line((0, 2**63))
+    assert assert_batches_match(t, [0, 1] * 65) == [2**63] * 130
+    mx = LiChaoTree(Domain(-16, 16), "max")
+    for ln in [(1, 0), (-1, 10), (0, 4)]:
+        mx.insert_line(ln)
+    mx.insert_segment((0, 100), -3, 2)
+    assert_batches_match(mx, list(range(-16, 17)) * 2)
+
+
+def test_query_many_over_the_full_64bit_domain():
+    rng = np.random.default_rng(9)
+    for orientation in ("min", "max"):
+        t = LiChaoTree(Domain(I64_MIN, I64_MAX), orientation)
+        for _ in range(60):
+            t.insert_line((0, int(rng.integers(I64_MIN, I64_MAX))))
+            lo = int(rng.integers(-2**60, 0))
+            hi = int(rng.integers(0, 2**60))
+            t.insert_segment((int(rng.integers(-3, 4)),
+                              int(rng.integers(-2**40, 2**40))), lo, hi)
+        xs = rng.integers(I64_MIN, I64_MAX, size=200).tolist()
+        xs += [I64_MIN, I64_MIN + 1, -1, 0, 1, I64_MAX - 1, I64_MAX]
+        assert_batches_match(t, xs)
+    # slopes whose k*x leaves int64 inside a representable k*x + b
+    t = LiChaoTree(Domain(2**62, 2**62 + 3))
+    t.insert_line((2, I64_MIN))
+    t.insert_line((-3, I64_MAX))
+    assert_batches_match(t, [2**62, 2**62 + 1, 2**62 + 3] * 50)
+
+
+def test_query_many_with_a_negative_offset_lo():
+    rng = np.random.default_rng(4)
+    t = LiChaoTree(Domain(-1000, 523))
+    for _ in range(100):
+        t.insert_line((int(rng.integers(-10**6, 10**6)),
+                       int(rng.integers(-10**9, 10**9))))
+    assert_batches_match(t, rng.integers(-1000, 524, size=500).tolist())
+
+
+def test_query_many_rejects_an_out_of_domain_x():
+    t = LiChaoTree(Domain(-4, 100))
+    t.insert_line((1, 1))
+    for xs in ([101], [0] * 130 + [-5], [0] * 130 + [2**70],
+               [2**64] * 130):
+        with pytest.raises(OutOfDomainError):
+            t.query_many(xs)
+        with pytest.raises(OutOfDomainError):
+            t._query_batch(xs)
+    empty = LiChaoTree(Domain(0, 3))
+    with pytest.raises(OutOfDomainError):
+        empty._query_batch([4])
+
+
+def test_query_many_falls_back_on_coefficients_outside_int64():
+    t = LiChaoTree(Domain(0, 0))
+    t.insert_line((2**70, 5))
+    assert_batches_match(t, [0] * 130, kernel_runs=False)
+    big = LiChaoTree(Domain(-2**70, 2**70))
+    big.insert_line((0, 3))
+    assert big._query_batch([-2**70, 0, 2**70]) == [3, 3, 3]
+    assert kernel(big, [0]) is None
+
+
+def test_query_many_follows_a_subclass_query():
+    class Shifted(LiChaoTree):
+        def query(self, x):
+            v = super().query(x)
+            return None if v is None else v + 1
+
+    t = Shifted(Domain(0, 255))
+    for ln in [(1, 0), (-1, 255), (0, 100)]:
+        t.insert_line(ln)
+    xs = list(range(256))
+    assert t.query_many(xs) == [t.query(x) for x in xs]
+    assert t.query_many(xs) != LiChaoTree.query_many(build(
+        Domain(0, 255), [(1, 0), (-1, 255), (0, 100)]), xs)

@@ -138,3 +138,48 @@ def test_max_orientation_wrapper():
     assert f.query(v2, 0) == 10
     assert f.query(v2, 63) == 63
     assert f.query(v1, 63) == 63
+
+
+def test_query_many_matches_scalar_on_every_version():
+    f = PersistentForest(DOM)
+    rng = np.random.default_rng(8)
+    versions = [0]
+    for _ in range(40):
+        versions.append(f.insert(versions[-1], rand_line(rng)))
+    side = f.insert(versions[10], (0, -10**12))  # a branch off an old version
+    xs = rng.integers(0, 1024, size=300).tolist()
+    for v in versions[::7] + [versions[-1], side]:
+        expected = [f.query(v, x) for x in xs]
+        assert f.query_many(v, xs) == expected
+        assert f._query_batch(v, xs) == expected
+        assert f.query_many(v, xs[:5]) == expected[:5]
+    assert f._query_batch(versions[10], xs) != f._query_batch(side, xs)
+
+
+def test_query_many_checks_the_version_even_for_empty_xs():
+    f = PersistentForest(DOM)
+    v = f.insert(0, (1, 1))
+    assert f.query_many(v, []) == [] and f._query_batch(v, []) == []
+    for bad in (-1, 2, 42):
+        for xs in ([], [3], list(range(100))):
+            with pytest.raises(UnknownVersionError):
+                f.query_many(bad, xs)
+            with pytest.raises(UnknownVersionError):
+                f._query_batch(bad, xs)
+    with pytest.raises(OutOfDomainError):
+        f.query_many(v, list(range(100)) + [1024])
+
+
+def test_query_many_max_orientation_and_subclass_query():
+    f = PersistentForest(Domain(0, 1), orientation="max")
+    v = f.insert(0, (0, 2**63))
+    assert f.query_many(v, [0, 1] * 65) == [2**63] * 130
+
+    class Shifted(PersistentForest):
+        def query(self, version, x):
+            return super().query(version, x) + 1
+
+    g = Shifted(DOM)
+    v = g.insert(0, (1, 0))
+    xs = list(range(200))
+    assert g.query_many(v, xs) == [x + 1 for x in xs]

@@ -9,7 +9,8 @@ agrees with the brute-force oracle on random interleaved workloads.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lichao import Domain, LiChaoTree, LineContainer, NaiveSet, ZkwTree
+from lichao import (Domain, LiChaoTree, LineContainer, NaiveSet,
+                    PersistentForest, ZkwTree)
 from lichao.verify import gen_verify_ops, run_verify
 
 small_coord = st.integers(min_value=-64, max_value=64)
@@ -84,17 +85,24 @@ def test_all_structures_agree_with_the_oracle(ls):
     t = LiChaoTree(DOM)
     z = ZkwTree(DOM.lo, DOM.size)
     c = LineContainer()
+    p = PersistentForest(DOM)
+    v = 0
     naive = NaiveSet()
     for ln in ls:
         t.insert_line(ln)
         z.insert_line(ln)
         c.insert_line(ln)
+        v = p.insert(v, ln)
         naive.add_line(ln)
     for x in XS:
         expected = naive.query(x)
         assert t.query(x) == expected
         assert z.query(x) == expected
         assert c.query(x) == expected
+    # the batch kernel, whatever the run length
+    expected = [naive.query(x) for x in XS]
+    assert t._query_batch(list(XS)) == expected
+    assert p._query_batch(v, list(XS)) == expected
 
 
 @given(data=st.data())
@@ -116,6 +124,7 @@ def test_segments_agree_with_the_oracle(data):
             naive.add_line((k, b))
     for x in XS:
         assert t.query(x) == naive.query(x)
+    assert t._query_batch(list(XS)) == [naive.query(x) for x in XS]
     assert t.audit_routed_optimality() == []
 
 
