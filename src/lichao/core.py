@@ -13,16 +13,20 @@ contract at insertion time.  Non-integer
 coordinates are not supported natively; callers needing precision eps
 should prescale their coordinate range by 1/eps.
 
+The node arena and its reads from a root handle (scalar walk, pre-order
+traversal, batch dispatch) live once in `_PointerArena`, shared by
+`LiChaoTree` and `PersistentForest` (one root per version).
+
 Batch queries.  `LiChaoTree.query_many(xs)` equals
 `[tree.query(x) for x in xs]`.  Long runs go through `_walk_batch`, a numpy
 kernel that copies the node arena into arrays and walks one tree level per
-step for all xs at once; `PersistentForest.query_many` shares it.  The
-kernel evaluates k*x + b in int64, whose multiplication and addition wrap
-modulo 2^64.  A node's line is representable over the node's interval
-(every line reaches a node only through an interval inside its range), so
-the true value of every evaluation lies in int64 and the wrapped result
-equals it.  The scalar loop answers instead when the run is short (fewer
-than `_BATCH_MIN` xs), when converting the arena would cost more than
+step for all xs at once.  The kernel evaluates k*x + b in int64, whose
+multiplication and addition wrap modulo 2^64.  A node's line is
+representable over the node's interval (every line reaches a node only
+through an interval inside its range), so the true value of every
+evaluation lies in int64 and the wrapped result equals it.  The scalar
+loop answers instead when the run is short (fewer than `_BATCH_MIN` xs),
+when copying the nodes the root may reach would cost more than
 `len(xs) * (depth_bound + 1)` scalar steps, when a subclass overrides
 `query`, and when the domain bounds, a stored coefficient or an x do not
 fit int64 (an out-of-domain x then raises from the scalar loop).
@@ -250,14 +254,109 @@ def _walk_batch(K, B, Lc, Rc, root: int, lo: int, hi: int, xs,
     return [v if m else None for v, m in zip(vals, met.tolist())]
 
 
-class LiChaoTree:
+class _PointerArena:
+    """Parallel node lists `_k`, `_b`, `_left`, `_right` indexed by handle
+    (NIL = no node; a None slope marks a pass-through node), and the reads
+    that walk them from a root: `LiChaoTree` has one root,
+    `PersistentForest` one per version.  A node's interval is implicit from
+    [lo, hi] and the path taken; lines are stored min-oriented.
+    """
+
+    def __init__(self, domain: Domain, orientation: str):
+        if orientation not in (MIN, MAX):
+            raise ValueError(f"orientation must be {MIN!r} or {MAX!r}")
+        self.domain = domain
+        self.orientation = orientation
+        self._neg = orientation == MAX
+        self._k: list = []
+        self._b: list = []
+        self._left: list = []
+        self._right: list = []
+        #: nodes touched by the most recent scalar query (or tree insert)
+        self.last_visited = 0
+
+    def _walk(self, root: int, x: int) -> Optional[int]:
+        """Envelope value at x from `root`: walks the root-to-leaf path
+        containing x and takes the best value among the stored lines
+        encountered; None if no line covers x."""
+        d = self.domain
+        if x < d.lo or x > d.hi:
+            raise OutOfDomainError(f"x={x} outside domain [{d.lo}, {d.hi}]")
+        K, B = self._k, self._b
+        Lc, Rc = self._left, self._right
+        cur = root
+        l, r = d.lo, d.hi
+        best = None
+        visits = 0
+        while cur != NIL:
+            visits += 1
+            ck = K[cur]
+            if ck is not None:
+                v = ck * x + B[cur]
+                if best is None or v < best:
+                    best = v
+            if l == r:
+                break
+            m = (l + r) >> 1
+            if x <= m:
+                cur = Lc[cur]
+                r = m
+            else:
+                cur = Rc[cur]
+                l = m + 1
+        self.last_visited = visits
+        if best is None:
+            return None
+        return -best if self._neg else best
+
+    def _nodes(self, root: int
+               ) -> Iterator["tuple[int, int, int, int, Optional[tuple]]"]:
+        """Yield (handle, l, r, depth, line) for every node `root` reaches,
+        in pre-order; `line` is the stored (k, b) in internal
+        (min-oriented) form, or None for a pass-through node."""
+        if root == NIL:
+            return
+        K, B = self._k, self._b
+        Lc, Rc = self._left, self._right
+        stack = [(root, self.domain.lo, self.domain.hi, 0)]
+        while stack:
+            h, l, r, depth = stack.pop()
+            ck = K[h]
+            yield h, l, r, depth, None if ck is None else (ck, B[h])
+            if l < r:
+                m = (l + r) >> 1
+                if Rc[h] != NIL:
+                    stack.append((Rc[h], m + 1, r, depth + 1))
+                if Lc[h] != NIL:
+                    stack.append((Lc[h], l, m, depth + 1))
+
+    def _arena(self, root: int) -> tuple:
+        """(K, B, left, right, root) that the kernel copies for `root`."""
+        return self._k, self._b, self._left, self._right, root
+
+    def _kernel(self, root: int, xs) -> "Optional[list]":
+        d = self.domain
+        return _walk_batch(*self._arena(root), d.lo, d.hi, xs, self._neg)
+
+    def _batch(self, owner: type, root: int, size: int,
+               xs) -> "Optional[list]":
+        """Kernel answers from `root`, or None when the `query` loop must
+        answer: a short run, a run small against the `size` nodes `root`
+        can reach, a subclass of `owner` overriding `query`, or values
+        outside int64 (module docstring)."""
+        if (len(xs) < _BATCH_MIN or type(self).query is not owner.query
+                or len(xs) * (self.domain.depth_bound + 1) < size):
+            return None
+        return self._kernel(root, xs)
+
+
+class LiChaoTree(_PointerArena):
     """Lazily allocated lower/upper-envelope tree over an integer domain.
 
-    Nodes live in a growable arena of parallel lists indexed by integer
-    handles; a handle of -1 means "no node".  A node's interval is implicit
-    from the root domain and the path taken.  Children partition the parent
-    interval into [l, m] and [m+1, r] with m = floor((l+r)/2); a leaf owns
-    a single coordinate and drops losing lines outright.
+    Nodes are allocated on demand in the `_PointerArena` lists; children
+    partition the parent interval into [l, m] and [m+1, r] with
+    m = floor((l+r)/2), and a leaf owns a single coordinate and drops
+    losing lines outright.
 
     Ties at a midpoint keep the resident line and route the incoming line
     down; this makes duplicate insertions harmless.
@@ -279,21 +378,9 @@ class LiChaoTree:
 
     def __init__(self, domain: Domain, orientation: str = MIN,
                  audited: bool = False):
-        if orientation not in (MIN, MAX):
-            raise ValueError(f"orientation must be {MIN!r} or {MAX!r}")
-        self.domain = domain
-        self.orientation = orientation
-        self._neg = orientation == MAX
-        # Node arena: parallel lists indexed by handle.  _k[h] is None for
-        # pass-through nodes materialized by segment decomposition.
-        self._k: list = []
-        self._b: list = []
-        self._left: list = []
-        self._right: list = []
+        super().__init__(domain, orientation)
         self._root = NIL
         self._max_depth = 0
-        #: nodes touched by the most recent insert/query operation
-        self.last_visited = 0
         # routing record (only when audited): one id per insertion event, a
         # per-node list of ids routed through it, and the id of each node's
         # currently stored line
@@ -464,40 +551,8 @@ class LiChaoTree:
         self.last_visited = visits
 
     def query(self, x: int) -> Optional[int]:
-        """Envelope value at x, or None if no line covers x.
-
-        Walks the root-to-leaf path containing x and takes the best value
-        among the stored lines encountered.
-        """
-        d = self.domain
-        if x < d.lo or x > d.hi:
-            raise OutOfDomainError(f"x={x} outside domain [{d.lo}, {d.hi}]")
-        K, B = self._k, self._b
-        Lc, Rc = self._left, self._right
-        cur = self._root
-        l, r = d.lo, d.hi
-        best = None
-        visits = 0
-        while cur != NIL:
-            visits += 1
-            ck = K[cur]
-            if ck is not None:
-                v = ck * x + B[cur]
-                if best is None or v < best:
-                    best = v
-            if l == r:
-                break
-            m = (l + r) >> 1
-            if x <= m:
-                cur = Lc[cur]
-                r = m
-            else:
-                cur = Rc[cur]
-                l = m + 1
-        self.last_visited = visits
-        if best is None:
-            return None
-        return -best if self._neg else best
+        """Envelope value at x, or None if no line covers x."""
+        return self._walk(self._root, x)
 
     def query_many(self, xs) -> "list[Optional[int]]":
         """Envelope values at every x of the sequence `xs`.
@@ -508,37 +563,21 @@ class LiChaoTree:
         outside int64 take the scalar loop (module docstring).  The kernel
         path leaves `last_visited` as it was.
         """
-        if (len(xs) < _BATCH_MIN or type(self).query is not LiChaoTree.query
-                or len(xs) * (self.domain.depth_bound + 1) < len(self._k)):
-            return list(map(self.query, xs))
-        return self._query_batch(xs)
+        got = self._batch(LiChaoTree, self._root, len(self._k), xs)
+        return list(map(self.query, xs)) if got is None else got
 
     def _query_batch(self, xs) -> "list[Optional[int]]":
         """`query_many` through the kernel whatever the run length."""
-        d = self.domain
-        got = _walk_batch(self._k, self._b, self._left, self._right,
-                          self._root, d.lo, d.hi, xs, self._neg)
+        got = self._kernel(self._root, xs)
         return list(map(self.query, xs)) if got is None else got
 
-    def iter_nodes(self) -> Iterator["tuple[int, int, int, int, Optional[Line]]"]:
+    def iter_nodes(self) -> Iterator["tuple[int, int, int, int, Optional[tuple]]"]:
         """Yield (handle, l, r, depth, line) for every allocated node.
 
-        Lines are reported in internal (min-oriented) form.  Pre-order.
+        `line` is the stored (k, b) in internal (min-oriented) form, None
+        for a pass-through node.  Pre-order.
         """
-        if self._root == NIL:
-            return
-        stack = [(self._root, self.domain.lo, self.domain.hi, 0)]
-        while stack:
-            h, l, r, depth = stack.pop()
-            ck = self._k[h]
-            line = None if ck is None else Line(ck, self._b[h])
-            yield h, l, r, depth, line
-            if l < r:
-                m = (l + r) >> 1
-                if self._right[h] != NIL:
-                    stack.append((self._right[h], m + 1, r, depth + 1))
-                if self._left[h] != NIL:
-                    stack.append((self._left[h], l, m, depth + 1))
+        return self._nodes(self._root)
 
     def audit_routed_optimality(self) -> list:
         """Check that every stored line is minimal at its node's midpoint
@@ -559,7 +598,8 @@ class LiChaoTree:
             if line is None:
                 continue
             m = (l + r) >> 1
-            stored = line.k * m + line.b
+            lk, lb = line
+            stored = lk * m + lb
             for lid in routed[h]:
                 fk, fb = lines[lid]
                 v = fk * m + fb

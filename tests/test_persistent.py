@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import lichao.core
 from lichao import (Domain, LiChaoTree, OutOfDomainError, PersistentForest,
                     UnknownVersionError)
 
@@ -112,7 +113,8 @@ def test_path_copy_shares_everything_off_path():
         before = f.arena_size
         v = f.insert(base, rand_line(rng))
         fresh = 0
-        stack = [(f.root_of(v), f.root_of(base))]
+        left, right = f._left, f._right
+        stack = [(f._roots[v], f._roots[base])]
         while stack:
             nh, bh = stack.pop()
             if nh == bh:
@@ -121,13 +123,10 @@ def test_path_copy_shares_everything_off_path():
             assert nh >= before, "copied node is not fresh"
             fresh += 1
             if bh == -1:
-                _, _, le, ri = f.node(nh)
-                assert le == -1 and ri == -1
+                assert left[nh] == -1 and right[nh] == -1
                 continue
-            _, _, nle, nri = f.node(nh)
-            _, _, ble, bri = f.node(bh)
-            stack.append((nle, ble))
-            stack.append((nri, bri))
+            stack.append((left[nh], left[bh]))
+            stack.append((right[nh], right[bh]))
         assert fresh == f.last_appended
 
 
@@ -183,3 +182,25 @@ def test_query_many_max_orientation_and_subclass_query():
     v = g.insert(0, (1, 0))
     xs = list(range(200))
     assert g.query_many(v, xs) == [x + 1 for x in xs]
+
+
+def test_query_many_size_rule_weighs_the_version(monkeypatch):
+    # the arena outgrows 300 xs * 11 levels, but version v holds at most v
+    # nodes (each insert adds at most one), so the run takes the kernel
+    f = PersistentForest(DOM)
+    rng = np.random.default_rng(5)
+    v = 0
+    for _ in range(2000):
+        v = f.insert(v, rand_line(rng))
+    xs = rng.integers(0, 1024, size=300).tolist()
+    assert 300 * H1 < f.arena_size
+    calls = []
+    walk = lichao.core._walk_batch
+
+    def counting(*args):
+        calls.append(1)
+        return walk(*args)
+
+    monkeypatch.setattr(lichao.core, "_walk_batch", counting)
+    assert f.query_many(v, xs) == [f.query(v, x) for x in xs]
+    assert len(calls) == 1

@@ -20,6 +20,8 @@ lines = st.lists(line, min_size=1, max_size=24)
 
 DOM = Domain(-32, 31)
 XS = range(DOM.lo, DOM.hi + 1)
+# odd size: a node's two children differ in width
+ODD = Domain(-50, 50)
 
 
 @given(f=line, g=line, a=small_coord, b=small_coord)
@@ -80,12 +82,12 @@ def test_midpoint_invariant_after_full_line_inserts(ls):
     assert t.audit_routed_optimality() == []
 
 
-@given(ls=lines)
-def test_all_structures_agree_with_the_oracle(ls):
-    t = LiChaoTree(DOM)
-    z = ZkwTree(DOM.lo, DOM.size)
+def _agree_with_the_oracle(dom, ls):
+    xs = list(range(dom.lo, dom.hi + 1))
+    t = LiChaoTree(dom)
+    z = ZkwTree(dom.lo, dom.size)
     c = LineContainer()
-    p = PersistentForest(DOM)
+    p = PersistentForest(dom)
     v = 0
     naive = NaiveSet()
     for ln in ls:
@@ -94,38 +96,48 @@ def test_all_structures_agree_with_the_oracle(ls):
         c.insert_line(ln)
         v = p.insert(v, ln)
         naive.add_line(ln)
-    for x in XS:
-        expected = naive.query(x)
-        assert t.query(x) == expected
-        assert z.query(x) == expected
-        assert c.query(x) == expected
+    expected = [naive.query(x) for x in xs]
+    assert [t.query(x) for x in xs] == expected
+    assert [z.query(x) for x in xs] == expected
+    assert [c.query(x) for x in xs] == expected
     # the batch kernel, whatever the run length
-    expected = [naive.query(x) for x in XS]
-    assert t._query_batch(list(XS)) == expected
-    assert p._query_batch(v, list(XS)) == expected
+    assert t._query_batch(xs) == expected
+    assert p._query_batch(v, xs) == expected
+
+
+@given(ls=lines)
+def test_all_structures_agree_with_the_oracle(ls):
+    for dom in (DOM, ODD):
+        _agree_with_the_oracle(dom, ls)
 
 
 @given(data=st.data())
 def test_segments_agree_with_the_oracle(data):
-    t = LiChaoTree(DOM, audited=True)
-    naive = NaiveSet()
+    ops = []
     n_ops = data.draw(st.integers(min_value=1, max_value=25))
     for _ in range(n_ops):
         k, b = data.draw(line)
         if data.draw(st.booleans()):
             xl = data.draw(small_coord)
             xr = data.draw(small_coord)
-            if xl > xr:
-                xl, xr = xr, xl
-            t.insert_segment((k, b), xl, xr)
-            naive.add_segment((k, b), xl, xr)
+            ops.append(((k, b), min(xl, xr), max(xl, xr)))
         else:
-            t.insert_line((k, b))
-            naive.add_line((k, b))
-    for x in XS:
-        assert t.query(x) == naive.query(x)
-    assert t._query_batch(list(XS)) == [naive.query(x) for x in XS]
-    assert t.audit_routed_optimality() == []
+            ops.append(((k, b), None, None))
+    for dom in (DOM, ODD):
+        xs = list(range(dom.lo, dom.hi + 1))
+        t = LiChaoTree(dom, audited=True)
+        naive = NaiveSet()
+        for ln, xl, xr in ops:
+            if xl is None:
+                t.insert_line(ln)
+                naive.add_line(ln)
+            else:
+                t.insert_segment(ln, xl, xr)
+                naive.add_segment(ln, xl, xr)
+        expected = [naive.query(x) for x in xs]
+        assert [t.query(x) for x in xs] == expected
+        assert t._query_batch(xs) == expected
+        assert t.audit_routed_optimality() == []
 
 
 @settings(max_examples=20, deadline=None)
