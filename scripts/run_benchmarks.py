@@ -1,10 +1,10 @@
 #!/usr/bin/env python3
 """Desk-scale benchmark grid over all algorithms and distributions.
 
-Times every applicable algorithm on the random and all-on-hull workloads,
-both in the free-range regime and in the static-universe regime where the
-coordinate range is sized by the op count, cross-checks the answer
-checksums, prints a table and writes a CSV.
+Times every algorithm that `lichao.bench.engine_mismatch` allows on the
+random and all-on-hull workloads, both in the free-range regime and in the
+static-universe regime where the coordinate range is sized by the op count,
+cross-checks the answer checksums, prints a table and writes a CSV.
 
 Defaults are sized for a laptop run of a few minutes; pass larger --sizes
 / --nc-sizes to push further.
@@ -12,9 +12,9 @@ Defaults are sized for a laptop run of a few minutes; pass larger --sizes
 
 import argparse
 
-from lichao.bench import (ensure_consistent, gen_hull_workload,
-                          gen_nc_workload, gen_random_workload,
-                          run_benchmark, write_csv)
+from lichao.bench import (ALGOS, engine_mismatch, ensure_consistent,
+                          gen_hull_workload, gen_nc_workload,
+                          gen_random_workload, run_benchmark, write_csv)
 
 HEADER = (f"{'n':>9} {'regime':>7} {'dist':>7} {'algo':>5} "
           f"{'insert_ms':>11} {'query_ms':>10} {'total_ms':>10} {'cv':>7}")
@@ -25,6 +25,10 @@ def show(result, regime):
           f"{result.algo:>5} {result.insert_ms:>11.2f} "
           f"{result.query_ms:>10.2f} {result.total_ms:>10.2f} "
           f"{result.cv:>7.4f}")
+
+
+def algos(static):
+    return [a for a in ALGOS if engine_mismatch(a, static, False) is None]
 
 
 def main():
@@ -49,7 +53,7 @@ def main():
             else:
                 wl = gen_hull_workload(n, args.seed)
             group = [run_benchmark(wl, algo, args.reps)
-                     for algo in ("lict", "cht")]
+                     for algo in algos(static=False)]
             ensure_consistent(group)
             for r in group:
                 show(r, "free")
@@ -58,7 +62,7 @@ def main():
         for dist in ("random", "hull"):
             wl = gen_nc_workload(n, dist, args.seed)
             group = [run_benchmark(wl, algo, args.reps)
-                     for algo in ("lict", "zkw", "cht")]
+                     for algo in algos(static=True)]
             ensure_consistent(group)
             for r in group:
                 show(r, "n=c")

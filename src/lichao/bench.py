@@ -22,6 +22,7 @@ import os
 from dataclasses import dataclass
 from statistics import mean, pstdev
 from time import perf_counter
+from typing import Optional
 
 import numpy as np
 
@@ -86,24 +87,23 @@ def fold_answer(h: int, v) -> int:
     return ((h ^ (v & _MASK64)) * _FNV_PRIME) & _MASK64
 
 
-def gen_random_workload(n: int, seed: int, domain: Domain = None,
-                        coeff_bound: int = COORD_BOUND) -> Workload:
+def gen_random_workload(n: int, seed: int, domain: Domain = None) -> Workload:
     """Uniform random lines and queries: n//2 inserts, then the queries.
 
     Slopes, intercepts and query points are uniform integers in
-    [-coeff_bound, coeff_bound] (queries restricted to the domain, which
+    [-COORD_BOUND, COORD_BOUND] (queries restricted to the domain, which
     defaults to that same range).  Stream order: slopes, intercepts,
     query points.
     """
     if n < 2:
         raise ValueError("workload needs at least 2 ops")
     if domain is None:
-        domain = Domain(-coeff_bound, coeff_bound)
+        domain = Domain(-COORD_BOUND, COORD_BOUND)
     n_ins = n // 2
     n_q = n - n_ins
     rng = _rng(seed)
-    ks = rng.integers(-coeff_bound, coeff_bound + 1, size=n_ins).tolist()
-    bs = rng.integers(-coeff_bound, coeff_bound + 1, size=n_ins).tolist()
+    ks = rng.integers(-COORD_BOUND, COORD_BOUND + 1, size=n_ins).tolist()
+    bs = rng.integers(-COORD_BOUND, COORD_BOUND + 1, size=n_ins).tolist()
     xs = rng.integers(domain.lo, domain.hi + 1, size=n_q).tolist()
     ops = [("A", k, b) for k, b in zip(ks, bs)]
     ops += [("Q", x) for x in xs]
@@ -200,6 +200,23 @@ def make_engine(algo: str, domain: Domain):
     return LineContainer()
 
 
+def engine_mismatch(algo: str, static: bool,
+                    segments: bool) -> Optional[str]:
+    """Why engine `algo` (one of ALGOS or "persistent") cannot run a stream
+    with or without `segments`, or None when it can.
+
+    Only lict takes segments.  zkw allocates its whole universe up front,
+    so it needs a `static` one: sized by the op count (`Workload.nc`,
+    `--nc`) or fixed by the caller (a replay domain, `run_verify`'s c).
+    """
+    if segments and algo != "lict":
+        return f"{algo} does not support segments; only lict does"
+    if algo == "zkw" and not static:
+        return ("zkw needs a static universe (--nc: sized by the op count); "
+                "its cell array covers the whole universe up front")
+    return None
+
+
 def run_benchmark(workload: Workload, algo: str, reps: int) -> BenchResult:
     """Replay the workload `reps` times on fresh structures and time it.
 
@@ -213,13 +230,10 @@ def run_benchmark(workload: Workload, algo: str, reps: int) -> BenchResult:
         raise WorkloadMismatchError(f"unknown algo {algo!r}")
     if reps < 1:
         raise ValueError("reps must be >= 1")
-    if algo == "zkw" and not workload.nc:
-        raise WorkloadMismatchError(
-            "zkw needs a static-universe workload (universe sized by op "
-            "count); its cell array covers the whole domain up front")
-    has_segments = any(op[0] == "S" for op in workload.ops)
-    if has_segments and algo != "lict":
-        raise WorkloadMismatchError(f"{algo} does not support segments")
+    why = engine_mismatch(algo, workload.nc,
+                          any(op[0] == "S" for op in workload.ops))
+    if why:
+        raise WorkloadMismatchError(why)
 
     runs = _build_runs(workload.ops)
     insert_times = []

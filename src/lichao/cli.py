@@ -1,7 +1,10 @@
 """Command-line harness: benchmarks, differential fuzzing, op-file replay.
 
 Exit codes: 0 success, 1 verification or runtime failure (divergent query,
-checksum mismatch, out-of-domain op, overflow), 2 usage or parse error.
+checksum mismatch, out-of-domain op, overflow, out of memory), 2 usage or
+parse error, including an --algo that cannot run the input.  Which engine
+can run which op stream is decided by `lichao.bench.engine_mismatch`
+alone; `verify` checks every engine the generated stream allows.
 
 Op files are plain text, one op per line: `A k b` inserts a line,
 `S k b xl xr` inserts a segment, `Q x` queries.  Lines starting with `#`
@@ -15,10 +18,11 @@ import argparse
 import sys
 
 from .bench import (ALGOS, ChecksumMismatchError, WorkloadMismatchError,
-                    append_csv, gen_hull_workload, gen_nc_workload,
-                    gen_random_workload, make_engine, run_benchmark)
+                    append_csv, engine_mismatch, gen_hull_workload,
+                    gen_nc_workload, gen_random_workload, make_engine,
+                    run_benchmark)
 from .core import (I64_MAX, I64_MIN, Domain, InvalidDomainError,
-                   InvalidSegmentError, OutOfDomainError)
+                   OutOfDomainError)
 from .verify import gen_verify_ops, run_verify
 
 
@@ -64,10 +68,9 @@ def format_op(op) -> str:
 
 
 def cmd_bench(args) -> int:
-    if args.algo == "zkw" and not args.nc:
-        print("error: --algo zkw requires --nc (static-universe workload)",
-              file=sys.stderr)
-        return 2
+    why = engine_mismatch(args.algo, args.nc, False)
+    if why:
+        raise WorkloadMismatchError(why)
     if args.n < 2 or args.reps < 1:
         print("error: need --n >= 2 and --reps >= 1", file=sys.stderr)
         return 2
@@ -91,23 +94,19 @@ def cmd_verify(args) -> int:
     if args.c < 1:
         print("error: --c must be >= 1", file=sys.stderr)
         return 2
-    if args.segments and args.persistent:
-        print("error: --persistent supports full lines only; drop "
-              "--segments", file=sys.stderr)
-        return 2
     ops = gen_verify_ops(args.ops, args.c, args.seed, segments=args.segments)
-    full_lines = not args.segments
-    include_zkw = full_lines and args.c == len(ops)
-    report = run_verify(ops, args.c, include_zkw=include_zkw,
-                        include_cht=full_lines,
-                        include_persistent=args.persistent)
+    # the universe counts as static while zkw's cells (fewer than 4c) stay
+    # proportional to the op count
+    static = args.c <= len(ops)
+    segments = any(op[0] == "S" for op in ops)
+    report = run_verify(ops, args.c, **{
+        f"include_{e}": engine_mismatch(e, static, segments) is None
+        for e in ("zkw", "cht", "persistent")})
     if report.ok:
-        engines = "lict" + ("+zkw" if include_zkw else "") + \
-                  ("+cht" if full_lines else "") + \
-                  ("+persistent" if args.persistent else "")
         print(f"OK: {report.queries_checked} queries checked over "
               f"{report.ops_total} ops (universe {args.c}, seed {args.seed}, "
-              f"engines {engines}); nodes={report.tree_nodes} "
+              f"engines {'+'.join(report.engines)}); "
+              f"nodes={report.tree_nodes} "
               f"max_depth={report.tree_max_depth} "
               f"max_visits={report.max_line_visits}/{report.max_seg_visits}")
         return 0
@@ -131,10 +130,10 @@ def cmd_replay(args) -> int:
     except InvalidDomainError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    if args.algo != "lict" and any(op[0] == "S" for op in ops):
-        print(f"error: segments in {args.file} need --algo lict",
-              file=sys.stderr)
-        return 2
+    # the replay universe is the --domain given, so it is static
+    why = engine_mismatch(args.algo, True, any(op[0] == "S" for op in ops))
+    if why:
+        raise WorkloadMismatchError(f"{args.file}: {why}")
     engine = make_engine(args.algo, domain)
     for op in ops:
         if op[0] == "A":
@@ -176,8 +175,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--segments", action="store_true",
                    help="mix segment insertions into the workload")
-    p.add_argument("--persistent", action="store_true",
-                   help="also check the persistent tree (full lines only)")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("replay", help="execute an op file, print answers")
@@ -197,16 +194,15 @@ def main(argv=None) -> int:
         return int(e.code or 0)
     try:
         return args.func(args)
-    except OpsFileError as e:
+    except (OpsFileError, WorkloadMismatchError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except (InvalidDomainError, InvalidSegmentError, OutOfDomainError,
-            OverflowError, WorkloadMismatchError, ChecksumMismatchError,
-            ValueError) as e:
+    # ValueError covers the domain, segment and out-of-domain errors
+    except (ValueError, OverflowError, ChecksumMismatchError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    except OSError as e:
-        print(f"error: {e}", file=sys.stderr)
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return 1
 
 

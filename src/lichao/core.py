@@ -77,21 +77,6 @@ class Line(NamedTuple):
     k: int
     b: int
 
-    def eval(self, x: int) -> int:
-        """Evaluate the line at x, exactly.
-
-        Raises OverflowError if the value does not fit a signed 64-bit
-        integer; that signals a violation of the caller's representability
-        contract, never a wrong answer.
-        """
-        v = self.k * x + self.b
-        if v < I64_MIN or v > I64_MAX:
-            raise OverflowError(
-                f"line ({self.k}, {self.b}) at x={x} gives {v}, "
-                "outside signed 64-bit range"
-            )
-        return v
-
 
 @dataclass(frozen=True)
 class Domain:
@@ -381,10 +366,11 @@ class LiChaoTree(_PointerArena):
         super().__init__(domain, orientation)
         self._root = NIL
         self._max_depth = 0
-        # routing record (only when audited): one id per insertion event, a
-        # per-node list of ids routed through it, and the id of each node's
-        # currently stored line
-        self._records = ([], [], []) if audited else None
+        # routing record (only when audited): per node, the lines routed
+        # through it, flat as k, b, k, b, ...: kept (k, b) tuples would be
+        # tracked by the garbage collector and trigger its passes, which
+        # also walk the other engines' lists during run_verify
+        self._routed = [] if audited else None
 
     @property
     def node_count(self) -> int:
@@ -393,25 +379,17 @@ class LiChaoTree(_PointerArena):
     def stats(self) -> TreeStats:
         return TreeStats(len(self._k), self._max_depth)
 
-    def _alloc(self, k, b, depth: int, lid=None) -> int:
-        # `lid` is the insertion event storing (k, b) here; None for
-        # pass-through nodes and when routing is not recorded
+    def _alloc(self, k, b, depth: int) -> int:
+        # a None slope makes a pass-through node
         self._k.append(k)
         self._b.append(b)
         self._left.append(NIL)
         self._right.append(NIL)
         if depth > self._max_depth:
             self._max_depth = depth
-        if self._records is not None:
-            self._records[1].append([] if lid is None else [lid])
-            self._records[2].append(lid)
+        if self._routed is not None:
+            self._routed.append([] if k is None else [k, b])
         return len(self._k) - 1
-
-    def _new_record_id(self, k: int, b: int):
-        if self._records is None:
-            return None
-        self._records[0].append((k, b))
-        return len(self._records[0]) - 1
 
     def _assert_routing(self, wk, wb, lk, lb, a, c):
         # Winner must dominate the loser on [a, c], the child interval the
@@ -423,17 +401,16 @@ class LiChaoTree(_PointerArena):
             )
 
     def _insert_descend(self, cur: int, l: int, r: int, depth: int,
-                        k: int, b: int, lid=None) -> "tuple[int, int]":
+                        k: int, b: int) -> "tuple[int, int]":
         """Route line (k, b) down from `cur` over [l, r].
 
         Returns (handle, visits): `handle` is `cur`, or the handle of the
         newly created node when `cur` was NIL.  At most one node is
-        allocated per call.  `lid` identifies the insertion event when the
-        tree is audited.
+        allocated per call.
         """
         if cur == NIL:
-            return self._alloc(k, b, depth, lid), 1
-        rec = self._records
+            return self._alloc(k, b, depth), 1
+        routed = self._routed
         K, B = self._k, self._b
         Lc, Rc = self._left, self._right
         top = cur
@@ -445,9 +422,8 @@ class LiChaoTree(_PointerArena):
                 # pass-through node from a segment decomposition: adopt
                 K[cur] = k
                 B[cur] = b
-                if rec is not None:
-                    rec[1][cur].append(lid)
-                    rec[2][cur] = lid
+                if routed is not None:
+                    routed[cur] += k, b
                 break
             cb = B[cur]
             m = (l + r) >> 1
@@ -459,10 +435,9 @@ class LiChaoTree(_PointerArena):
                 B[cur] = b
                 k, b, ck, cb = ck, cb, k, b
             # invariant here: (ck, cb) is the stored winner, (k, b) the loser
-            if rec is not None:
-                rec[1][cur].append(lid)
-                if midf:
-                    lid, rec[2][cur] = rec[2][cur], lid
+            if routed is not None:
+                # the incoming line: the winner if it won the swap
+                routed[cur] += (ck, cb) if midf else (k, b)
                 if l < r:
                     if lef != midf:
                         self._assert_routing(ck, cb, k, b, m + 1, r)
@@ -475,14 +450,14 @@ class LiChaoTree(_PointerArena):
                 nxt = Lc[cur]
                 r = m
                 if nxt == NIL:
-                    Lc[cur] = self._alloc(k, b, depth + 1, lid)
+                    Lc[cur] = self._alloc(k, b, depth + 1)
                     visits += 1
                     break
             else:
                 nxt = Rc[cur]
                 l = m + 1
                 if nxt == NIL:
-                    Rc[cur] = self._alloc(k, b, depth + 1, lid)
+                    Rc[cur] = self._alloc(k, b, depth + 1)
                     visits += 1
                     break
             cur = nxt
@@ -500,9 +475,8 @@ class LiChaoTree(_PointerArena):
             k, b = -k, -b
         d = self.domain
         _check_representable(k, b, d.lo, d.hi)
-        lid = self._new_record_id(k, b)
         self._root, self.last_visited = self._insert_descend(
-            self._root, d.lo, d.hi, 0, k, b, lid)
+            self._root, d.lo, d.hi, 0, k, b)
 
     def insert_segment(self, line, xl: int, xr: int) -> None:
         """Insert a line restricted to coordinates in [xl, xr].
@@ -527,7 +501,6 @@ class LiChaoTree(_PointerArena):
             return
         # every evaluation below lies in [lo, hi]
         _check_representable(k, b, lo, hi)
-        lid = self._new_record_id(k, b)
         Lc, Rc = self._left, self._right
         visits = 0
 
@@ -536,7 +509,7 @@ class LiChaoTree(_PointerArena):
             if hi < l or r < lo:
                 return h
             if lo <= l and r <= hi:
-                h, v = self._insert_descend(h, l, r, depth, k, b, lid)
+                h, v = self._insert_descend(h, l, r, depth, k, b)
                 visits += v
                 return h
             if h == NIL:
@@ -590,9 +563,8 @@ class LiChaoTree(_PointerArena):
         midpoint.  Requires `audited=True`.  Returns violation tuples
         (handle, m, stored_value, better_value).
         """
-        if self._records is None:
+        if self._routed is None:
             raise ValueError("routed-optimality audit needs audited=True")
-        lines, routed, _ = self._records
         violations = []
         for h, l, r, _depth, line in self.iter_nodes():
             if line is None:
@@ -600,8 +572,8 @@ class LiChaoTree(_PointerArena):
             m = (l + r) >> 1
             lk, lb = line
             stored = lk * m + lb
-            for lid in routed[h]:
-                fk, fb = lines[lid]
+            flat = self._routed[h]
+            for fk, fb in zip(flat[::2], flat[1::2]):
                 v = fk * m + fb
                 if v < stored:
                     violations.append((h, m, stored, v))

@@ -140,16 +140,20 @@ class PersistentForest(_PointerArena):
     def _arena(self, root: int) -> tuple:
         # a version is a tree, usually far smaller than the arena the older
         # versions fill: hand the kernel its nodes only, renumbered in
-        # pre-order
-        order, K, B = [], [], []
-        for h, _l, _r, _depth, (k, b) in self._nodes(root):
-            order.append(h)
-            K.append(k)
-            B.append(b)
+        # pre-order by a walk over handles alone
+        Lc, Rc = self._left, self._right
+        order = []
+        stack = [root]
+        while stack:
+            h = stack.pop()
+            if h != NIL:
+                order.append(h)
+                stack += (Rc[h], Lc[h])
         number = dict(zip(order, range(len(order))))
         number[NIL] = NIL
-        Lc, Rc = self._left, self._right
-        return (K, B, [number[Lc[h]] for h in order],
+        K, B = self._k, self._b
+        return ([K[h] for h in order], [B[h] for h in order],
+                [number[Lc[h]] for h in order],
                 [number[Rc[h]] for h in order], 0 if order else NIL)
 
     def snapshot_bytes(self, version: int) -> bytes:

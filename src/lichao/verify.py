@@ -8,6 +8,10 @@ workloads, routing-dominance assertions inside the instrumented tree, and
 a full midpoint-optimality audit at the end.  The batch query kernel is
 checked last, on the final state.
 
+The core tree always runs; zkw, cht and the persistent forest join on
+request if `lichao.bench.engine_mismatch` allows them the op stream, and
+the report names the engines that ran.
+
 On a mismatch the minimal failing prefix is the op list truncated right
 after the first divergent query (all earlier queries matched, so no
 shorter prefix can fail); a routing-dominance violation truncates it after
@@ -20,11 +24,10 @@ from typing import Optional
 
 import numpy as np
 
-from .baseline import LineContainer
+from .bench import WorkloadMismatchError, engine_mismatch, make_engine
 from .core import I64_MAX, Domain, LiChaoTree, RoutingDominanceError
 from .oracle import NaiveSet
 from .persistent import PersistentForest
-from .zkw import ZkwTree
 
 
 def gen_verify_ops(n_ops: int, c: int, seed: int,
@@ -73,6 +76,7 @@ BATCH_POINTS = 16
 class VerifyReport:
     ok: bool
     ops_total: int
+    engines: tuple = ("lict",)  # the engines that replayed the ops
     queries_checked: int = 0
     line_inserts: int = 0
     seg_inserts: int = 0
@@ -92,7 +96,10 @@ def run_verify(ops: list, c: int, *, include_zkw: bool = False,
                include_persistent: bool = False) -> VerifyReport:
     """Replay `ops` over universe [0, c-1] through every selected engine.
 
-    The core tree always participates, built with `audited=True`.  Every
+    The core tree always participates, built with `audited=True`; the
+    `include_*` engines join it, and the caller's [0, c-1] counts as a
+    static universe for zkw.  Raises WorkloadMismatchError when the ops
+    contain segments and any other engine is included.  Every
     check runs on every call: routing dominance on each core insertion,
     per-op visit bounds for every tree engine, the node-count bound on
     full-line runs, the routed and midpoint audits at the end, and then the
@@ -102,8 +109,14 @@ def run_verify(ops: list, c: int, *, include_zkw: bool = False,
     matched the oracle exactly and no structural guard fired.
     """
     has_segments = any(op[0] == "S" for op in ops)
-    if has_segments and (include_zkw or include_cht or include_persistent):
-        raise ValueError("only the core tree supports segment workloads")
+    engines = ["lict"]
+    for name, wanted in (("zkw", include_zkw), ("cht", include_cht),
+                         ("persistent", include_persistent)):
+        if wanted:
+            why = engine_mismatch(name, True, has_segments)
+            if why:
+                raise WorkloadMismatchError(why)
+            engines.append(name)
 
     domain = Domain(0, c - 1)
     h = domain.depth_bound
@@ -113,12 +126,12 @@ def run_verify(ops: list, c: int, *, include_zkw: bool = False,
 
     tree = LiChaoTree(domain, audited=True)
     naive = NaiveSet()
-    zkw = ZkwTree(0, c) if include_zkw else None
-    cht = LineContainer() if include_cht else None
+    zkw = make_engine("zkw", domain) if include_zkw else None
+    cht = make_engine("cht", domain) if include_cht else None
     forest = PersistentForest(domain) if include_persistent else None
     latest = 0
 
-    report = VerifyReport(ok=True, ops_total=len(ops))
+    report = VerifyReport(ok=True, ops_total=len(ops), engines=tuple(engines))
 
     for idx, op in enumerate(ops):
         tag = op[0]

@@ -4,10 +4,10 @@ import pytest
 
 from lichao import Domain, LiChaoTree, LineContainer
 from lichao.bench import (ChecksumMismatchError, WorkloadMismatchError,
-                          Workload, append_csv, ensure_consistent,
-                          fold_answer, gen_hull_workload, gen_nc_workload,
-                          gen_random_workload, read_csv, run_benchmark,
-                          write_csv)
+                          Workload, append_csv, engine_mismatch,
+                          ensure_consistent, fold_answer, gen_hull_workload,
+                          gen_nc_workload, gen_random_workload, read_csv,
+                          run_benchmark, write_csv)
 
 
 def test_same_seed_same_ops():
@@ -133,6 +133,17 @@ def test_zkw_requires_static_universe():
     wl = gen_random_workload(100, 0)
     with pytest.raises(WorkloadMismatchError):
         run_benchmark(wl, "zkw", 1)
+
+
+def test_engine_mismatch_rules():
+    for static in (False, True):
+        assert engine_mismatch("lict", static, True) is None
+        for algo in ("cht", "persistent"):
+            assert engine_mismatch(algo, static, False) is None
+        for algo in ("zkw", "cht", "persistent"):
+            assert "segments" in engine_mismatch(algo, static, True)
+    assert engine_mismatch("zkw", True, False) is None
+    assert "static" in engine_mismatch("zkw", False, False)
 
 
 def test_segments_only_run_on_the_core_tree():

@@ -2,7 +2,9 @@ import re
 
 import pytest
 
-from lichao import LiChaoTree, PersistentForest, RoutingDominanceError
+from lichao import (LiChaoTree, PersistentForest, RoutingDominanceError,
+                    ZkwTree)
+from lichao.bench import WorkloadMismatchError
 from lichao.cli import main, parse_ops_file
 from lichao.verify import gen_verify_ops, run_verify
 
@@ -84,6 +86,19 @@ def test_replay_segments_need_the_core_tree(tmp_path, capsys):
     assert "segments" in err
 
 
+def test_replay_out_of_memory_is_a_runtime_error(tmp_path, capsys,
+                                                monkeypatch):
+    def no_memory(self, lo, size):
+        raise MemoryError
+
+    monkeypatch.setattr(ZkwTree, "__init__", no_memory)
+    path = write(tmp_path, "ops.txt", "A 1 0\nQ 5\n")
+    code, out, err = run(capsys, "replay", "--file", path, "--algo", "zkw",
+                         "--domain", "0", "1000000000000")
+    assert code == 1 and out == ""
+    assert err.startswith("error: ")
+
+
 def test_replay_malformed_line_reports_lineno(tmp_path, capsys):
     path = write(tmp_path, "ops.txt", "A 1 0\nA nope 3\n")
     code, _, err = run(capsys, "replay", "--file", path, "--domain", "0", "8")
@@ -147,7 +162,7 @@ def test_verify_checks_cht_on_full_lines_only(capsys):
     code, out, _ = run(capsys, "verify", "--ops", "1024", "--c", "1024",
                        "--seed", "3")
     assert code == 0
-    assert "engines lict+zkw+cht)" in out
+    assert "engines lict+zkw+cht+persistent)" in out
     code, out, _ = run(capsys, "verify", "--ops", "600", "--c", "256",
                        "--segments", "--seed", "5")
     assert code == 0
@@ -155,10 +170,25 @@ def test_verify_checks_cht_on_full_lines_only(capsys):
 
 
 def test_verify_persistent(capsys):
-    code, out, _ = run(capsys, "verify", "--ops", "600", "--c", "256",
-                       "--persistent", "--seed", "4")
+    # the default run checks every engine its full-line stream allows
+    code, out, _ = run(capsys, "verify")
     assert code == 0
-    assert "persistent" in out
+    assert "(universe 4096, seed 42, engines lict+zkw+cht+persistent)" in out
+
+
+def test_verify_leaves_zkw_out_when_the_universe_outgrows_the_ops(capsys):
+    code, out, _ = run(capsys, "verify", "--ops", "600", "--c", "1024",
+                       "--seed", "4")
+    assert code == 0
+    assert "engines lict+cht+persistent)" in out
+
+
+def test_run_verify_refuses_engines_that_cannot_take_segments():
+    ops = [("S", 1, 0, 2, 5), ("Q", 3)]
+    assert run_verify(ops, 8).engines == ("lict",)
+    for engine in ("zkw", "cht", "persistent"):
+        with pytest.raises(WorkloadMismatchError, match="segments"):
+            run_verify(ops, 8, **{f"include_{engine}": True})
 
 
 def plant_routing_fault(monkeypatch, after):
@@ -233,8 +263,13 @@ def test_verify_at_reference_scale(capsys):
 
 
 def test_verify_persistent_excludes_segments(capsys):
-    code, _, err = run(capsys, "verify", "--segments", "--persistent")
+    code, out, _ = run(capsys, "verify", "--segments")
+    assert code == 0
+    assert "engines lict)" in out
+    # the engines come from the stream; there is no switch for them
+    code, _, err = run(capsys, "verify", "--persistent")
     assert code == 2
+    assert "--persistent" in err
 
 
 def test_bench_writes_summary_and_csv(tmp_path, capsys):

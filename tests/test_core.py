@@ -52,20 +52,23 @@ def test_domain_size_and_depth():
     assert Domain(-1024, 1023).depth_bound == 11
 
 
-def test_eval_examples():
-    assert Line(1, 0).eval(4) == 4
-    assert Line(-1, 10).eval(6) == 4
+def test_single_line_query_examples():
+    assert build(Domain(0, 8), [(1, 0)]).query(4) == 4
+    assert build(Domain(0, 8), [(-1, 10)]).query(6) == 4
+    t = build(Domain(-7, 10**9), [(0, 7)])
     for x in (-7, 0, 3, 10**9):
-        assert Line(0, 7).eval(x) == 7
+        assert t.query(x) == 7
 
 
-def test_eval_overflow_is_exact_at_the_boundary():
-    assert Line(1, I64_MAX - 5).eval(5) == I64_MAX
+def test_insert_line_overflow_is_exact_at_the_boundary():
+    # a value of exactly I64_MAX or I64_MIN at a domain end is accepted,
+    # one past it is not
+    assert build(Domain(0, 5), [(1, I64_MAX - 5)]).query(5) == I64_MAX
     with pytest.raises(OverflowError):
-        Line(1, I64_MAX - 5).eval(6)
-    assert Line(-1, I64_MIN + 3).eval(3) == I64_MIN
+        build(Domain(0, 6), [(1, I64_MAX - 5)])
+    assert build(Domain(0, 3), [(-1, I64_MIN + 3)]).query(3) == I64_MIN
     with pytest.raises(OverflowError):
-        Line(-1, I64_MIN + 3).eval(4)
+        build(Domain(0, 4), [(-1, I64_MIN + 3)])
 
 
 def test_insert_into_empty_tree():
