@@ -6,12 +6,12 @@ interval and stores the line that wins at the interval midpoint; insertion
 routes the losing line into the child containing the crossing point, so
 every operation touches a single root-to-leaf path.
 
-Coordinates, slopes and intercepts are integers.  Arithmetic is exact
-(Python ints), and 64-bit-signed representability of k*x + b over the
-domain (for a segment, over its clamped range) is enforced as a caller
-contract at insertion time.  Non-integer
-coordinates are not supported natively; callers needing precision eps
-should prescale their coordinate range by 1/eps.
+Coordinates, slopes and intercepts are integers; arithmetic is exact.  The
+contract: `Domain` bounds, and an inserted line's k, b and k*x + b over the
+domain (a segment: its clamped range), lie in int64, in [I64_MIN + 1,
+I64_MAX] for max orientation so the stored negated line fits; insertion
+checks it once (`_check_representable`).  Non-integer coordinates are not
+supported; callers needing precision eps prescale the domain by 1/eps.
 
 The node arena and its reads from a root handle (scalar walk, pre-order
 traversal, batch dispatch) live once in `_PointerArena`, shared by
@@ -28,8 +28,8 @@ evaluation lies in int64 and the wrapped result equals it.  The scalar
 loop answers instead when the run is short (fewer than `_BATCH_MIN` xs),
 when copying the nodes the root may reach would cost more than
 `len(xs) * (depth_bound + 1)` scalar steps, when a subclass overrides
-`query`, and when the domain bounds, a stored coefficient or an x do not
-fit int64 (an out-of-domain x then raises from the scalar loop).
+`query`, and when xs is not a 1-D integer array inside the domain (an
+out-of-domain x then raises from the scalar loop).
 
 Concurrency: mutation requires exclusive access (single writer).  Queries
 are read-only and may run concurrently with each other, but not with a
@@ -86,8 +86,9 @@ class Domain:
     hi: int
 
     def __post_init__(self):
-        if self.lo > self.hi:
-            raise InvalidDomainError(f"invalid domain [{self.lo}, {self.hi}]")
+        if not I64_MIN <= self.lo <= self.hi <= I64_MAX:
+            raise InvalidDomainError(f"invalid domain [{self.lo}, {self.hi}]:"
+                                     " need lo <= hi, both in int64")
 
     @property
     def size(self) -> int:
@@ -109,15 +110,15 @@ class TreeStats:
     max_depth_observed: int
 
 
-def _check_representable(k: int, b: int, lo: int, hi: int) -> None:
-    # k*x + b is monotone in x, so endpoint checks cover the whole range.
-    for x in (lo, hi):
-        v = k * x + b
-        if v < I64_MIN or v > I64_MAX:
-            raise OverflowError(
-                f"line ({k}, {b}) at x={x} gives {v}, outside signed "
-                "64-bit range; representability contract violated"
-            )
+def _check_representable(k: int, b: int, lo: int, hi: int,
+                         floor: int = I64_MIN) -> None:
+    """Raise OverflowError unless k, b and k*x + b on [lo, hi] lie in
+    [floor, I64_MAX]; k*x + b is monotone in x, so its endpoints suffice."""
+    if not (floor <= k <= I64_MAX >= b >= floor <= k * lo + b <= I64_MAX
+            >= k * hi + b >= floor):
+        raise OverflowError(
+            f"line ({k}, {b}) gives {k * lo + b} at x={lo} and {k * hi + b} "
+            f"at x={hi}: k, b and these must lie in [{floor}, {I64_MAX}]")
 
 
 def audit_midpoint(nodes) -> list:
@@ -156,14 +157,12 @@ def _walk_batch(K, B, Lc, Rc, root: int, lo: int, hi: int, xs,
     intervals split [l, r] at m = floor((l+r)/2), `root` the handle of its
     root over [lo, hi].  A None slope marks a pass-through node that holds
     no line; leaves have no children.  The arena is copied into numpy
-    arrays on every call and nothing is kept.  Returns the answers in the
-    caller's orientation (`neg` negates them, on Python ints, so 2^63 is
-    exact), or None when the domain bounds, a coefficient or an x do not
-    fit int64 or an x lies outside [lo, hi]: the caller's scalar loop then
-    answers or raises.
+    arrays on every call and nothing is kept; the contract (module
+    docstring) keeps [lo, hi], every k and b and every answer in int64.
+    Returns the answers in the caller's orientation (`neg` negates them),
+    or None when xs is not a 1-D integer array or an x lies outside
+    [lo, hi]: the caller's scalar loop then answers or raises.
     """
-    if lo < I64_MIN or hi > I64_MAX:
-        return None
     x = np.array(xs)
     n = len(x)
     if n == 0:
@@ -185,18 +184,15 @@ def _walk_batch(K, B, Lc, Rc, root: int, lo: int, hi: int, xs,
     bb[-1] = I64_MAX
     has_line = None
     try:
-        try:
-            kk[:-1] = K
-        except TypeError:
-            # pass-through nodes get the dummy's line; has_line marks where
-            # a lane really met a line
-            slopes = np.array(K, dtype=object)
-            has_line = np.append(np.not_equal(slopes, None), False)
-            slopes[~has_line[:-1]] = 0
-            kk[:-1] = slopes
-        bb[:-1] = B
-    except OverflowError:
-        return None
+        kk[:-1] = K
+    except TypeError:
+        # pass-through nodes get the dummy's line; has_line marks where a
+        # lane really met a line
+        slopes = np.array(K, dtype=object)
+        has_line = np.append(np.not_equal(slopes, None), False)
+        slopes[~has_line[:-1]] = 0
+        kk[:-1] = slopes
+    bb[:-1] = B
     if has_line is not None:
         bb[~has_line] = I64_MAX
     child = np.empty(2 * size, np.int64)  # child[2h] left, child[2h+1] right
@@ -231,9 +227,9 @@ def _walk_batch(K, B, Lc, Rc, root: int, lo: int, hi: int, xs,
         cur = child[cur]
         if cur.max() == NIL:
             break
-    vals = best.tolist()
     if neg:
-        vals = [-v for v in vals]
+        np.negative(best, out=best)
+    vals = best.tolist()
     if met is None:
         return vals
     return [v if m else None for v, m in zip(vals, met.tolist())]
@@ -259,6 +255,14 @@ class _PointerArena:
         self._right: list = []
         #: nodes touched by the most recent scalar query (or tree insert)
         self.last_visited = 0
+
+    def _min_form(self, line, lo: int, hi: int) -> "tuple[int, int]":
+        """(k, b) of `line` as stored, after checking it on [lo, hi] in the
+        caller's orientation: max orientation accepts [I64_MIN + 1,
+        I64_MAX], so the negated line it stores fits int64 too."""
+        k, b = line
+        _check_representable(k, b, lo, hi, I64_MIN + self._neg)
+        return (-k, -b) if self._neg else (k, b)
 
     def _walk(self, root: int, x: int) -> Optional[int]:
         """Envelope value at x from `root`: walks the root-to-leaf path
@@ -327,8 +331,8 @@ class _PointerArena:
                xs) -> "Optional[list]":
         """Kernel answers from `root`, or None when the `query` loop must
         answer: a short run, a run small against the `size` nodes `root`
-        can reach, a subclass of `owner` overriding `query`, or values
-        outside int64 (module docstring)."""
+        can reach, a subclass of `owner` overriding `query`, or xs that are
+        not integers inside the domain (module docstring)."""
         if (len(xs) < _BATCH_MIN or type(self).query is not owner.query
                 or len(xs) * (self.domain.depth_bound + 1) < size):
             return None
@@ -470,11 +474,8 @@ class LiChaoTree(_PointerArena):
         Allocates at most one node.  Raises OverflowError if the line is
         not 64-bit representable across the whole domain.
         """
-        k, b = line
-        if self._neg:
-            k, b = -k, -b
         d = self.domain
-        _check_representable(k, b, d.lo, d.hi)
+        k, b = self._min_form(line, d.lo, d.hi)
         self._root, self.last_visited = self._insert_descend(
             self._root, d.lo, d.hi, 0, k, b)
 
@@ -490,9 +491,6 @@ class LiChaoTree(_PointerArena):
         """
         if xl > xr:
             raise InvalidSegmentError(f"segment bounds reversed: [{xl}, {xr}]")
-        k, b = line
-        if self._neg:
-            k, b = -k, -b
         d = self.domain
         lo = xl if xl > d.lo else d.lo
         hi = xr if xr < d.hi else d.hi
@@ -500,7 +498,7 @@ class LiChaoTree(_PointerArena):
             self.last_visited = 0
             return
         # every evaluation below lies in [lo, hi]
-        _check_representable(k, b, lo, hi)
+        k, b = self._min_form(line, lo, hi)
         Lc, Rc = self._left, self._right
         visits = 0
 
@@ -532,9 +530,9 @@ class LiChaoTree(_PointerArena):
 
         Equals `[self.query(x) for x in xs]`, errors included.  Long runs
         take the numpy level-walk kernel; short runs, runs on an arena
-        large against them, subclasses overriding `query` and values
-        outside int64 take the scalar loop (module docstring).  The kernel
-        path leaves `last_visited` as it was.
+        large against them, subclasses overriding `query` and xs that are
+        not integers inside the domain take the scalar loop (module
+        docstring).  The kernel path leaves `last_visited` as it was.
         """
         got = self._batch(LiChaoTree, self._root, len(self._k), xs)
         return list(map(self.query, xs)) if got is None else got

@@ -9,10 +9,10 @@ and are never mutated after creation, so any number of version histories
 Only full-line insertion is persistent; a persistent segment insertion
 would copy O(log^2 C) nodes per operation and is out of scope.
 
-The node arena, the scalar query walk, the node traversal and the batch
-dispatch are shared with `LiChaoTree` through `lichao.core._PointerArena`
-and start from a version's root; this module keeps the versions and the
-path-copying insert.  `query_many(version, xs)` equals
+The node arena, the insert-time contract check (`_min_form`), the scalar
+query walk, the node traversal and the batch dispatch are shared with
+`LiChaoTree` through `lichao.core._PointerArena`; this module keeps the
+versions and the path-copying insert.  `query_many(version, xs)` equals
 `[query(version, x) for x in xs]`.  The kernel gets only the nodes the
 queried version reaches, renumbered, since the arena also holds every
 older version, and the size rule weighs the version by its bound of
@@ -26,7 +26,7 @@ only after all of its nodes have been written.
 
 from typing import Optional
 
-from .core import MIN, NIL, Domain, _check_representable, _PointerArena
+from .core import MIN, NIL, Domain, _PointerArena
 
 
 class UnknownVersionError(ValueError):
@@ -68,11 +68,8 @@ class PersistentForest(_PointerArena):
         handle.
         """
         self._check_version(base)
-        k, b = line
-        if self._neg:
-            k, b = -k, -b
         d = self.domain
-        _check_representable(k, b, d.lo, d.hi)
+        k, b = self._min_form(line, d.lo, d.hi)
         K, B = self._k, self._b
         Lc, Rc = self._left, self._right
         before = len(K)

@@ -16,8 +16,8 @@ is active.
 
 from typing import Iterator, Optional
 
-from .core import (InvalidDomainError, Line, OutOfDomainError,
-                   _check_representable, audit_midpoint)
+from .core import (Domain, Line, OutOfDomainError, _check_representable,
+                   audit_midpoint)
 
 
 class ZkwTree:
@@ -30,8 +30,7 @@ class ZkwTree:
     """
 
     def __init__(self, lo: int, size: int):
-        if size < 1:
-            raise InvalidDomainError(f"invalid universe size {size}")
+        Domain(lo, lo + size - 1)  # the core tree's rule: non-empty, int64
         p = 1 << (size - 1).bit_length() if size > 1 else 1
         self.lo = lo
         self.size = size

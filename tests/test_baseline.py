@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -43,6 +45,9 @@ def test_dominated_line_is_dropped():
     assert c.hull_size() == 2
     assert c.query(0) == 0
     assert c.query(10) == 0
+    # (0, 0) only ties the envelope at x = 0, whatever the insertion order
+    for order in itertools.permutations([(1, 0), (0, 0), (-1, 0)]):
+        assert filled(order).hull_size() == 2
 
 
 def test_thresholds_strictly_increase_slopes_strictly_decrease():

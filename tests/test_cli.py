@@ -133,6 +133,14 @@ def test_replay_reversed_domain_is_usage_error(tmp_path, capsys):
     assert code == 2
 
 
+def test_replay_domain_outside_int64_is_usage_error(tmp_path, capsys):
+    path = write(tmp_path, "ops.txt", "A 0 3\nQ 1\n")
+    code, out, err = run(capsys, "replay", "--file", path,
+                         "--domain", "0", str(2**70))
+    assert (code, out) == (2, "")
+    assert "invalid domain" in err and "int64" in err
+
+
 def test_parse_ops_file_roundtrip(tmp_path):
     path = write(tmp_path, "ops.txt", "A 1 2\nS 3 4 5 6\nQ 7\n")
     assert parse_ops_file(path) == [("A", 1, 2), ("S", 3, 4, 5, 6), ("Q", 7)]

@@ -1,9 +1,12 @@
+import functools
+
 import numpy as np
 import pytest
 
 from lichao import (Domain, I64_MAX, I64_MIN, InvalidDomainError,
                     InvalidSegmentError, LiChaoTree, Line, NaiveSet,
-                    OutOfDomainError, RoutingDominanceError)
+                    OutOfDomainError, PersistentForest, RoutingDominanceError,
+                    ZkwTree)
 from lichao.core import _walk_batch
 
 # four lines whose insertion exercises keep, route-left, route-right and a
@@ -69,6 +72,21 @@ def test_insert_line_overflow_is_exact_at_the_boundary():
     assert build(Domain(0, 3), [(-1, I64_MIN + 3)]).query(3) == I64_MIN
     with pytest.raises(OverflowError):
         build(Domain(0, 4), [(-1, I64_MIN + 3)])
+    # max orientation stores the negated line, so its floor is I64_MIN + 1;
+    # the error names the caller's line, not the negated one
+    mx = build(Domain(0, 3), [(-1, I64_MIN + 4)], orientation="max")
+    assert mx.query(3) == I64_MIN + 1
+    with pytest.raises(OverflowError, match=rf"line \(-1, {I64_MIN + 3}\)"):
+        build(Domain(0, 3), [(-1, I64_MIN + 3)], orientation="max")
+    assert build(Domain(0, 5), [(1, I64_MAX - 5)],
+                 orientation="max").query(5) == I64_MAX
+    # slope and intercept must fit int64 even where every value does
+    d = Domain(2**62, 2**62 + 10)
+    for insert in (LiChaoTree(d).insert_line,
+                   ZkwTree(d.lo, d.size).insert_line,
+                   functools.partial(PersistentForest(d).insert, 0)):
+        with pytest.raises(OverflowError):
+            insert((4, -2**64))
 
 
 def test_insert_into_empty_tree():
@@ -290,12 +308,12 @@ def kernel(t, xs):
                        xs, t._neg)
 
 
-def assert_batches_match(t, xs, kernel_runs=True):
+def assert_batches_match(t, xs):
     """query_many, _query_batch and the kernel all equal scalar query."""
     expected = [t.query(x) for x in xs]
     assert t.query_many(xs) == expected
     assert t._query_batch(xs) == expected
-    assert kernel(t, xs) == (expected if kernel_runs else None)
+    assert kernel(t, xs) == expected
     return expected
 
 
@@ -326,15 +344,25 @@ def test_query_many_across_segment_pass_through_nodes():
     assert None not in assert_batches_match(t, list(range(-40, 88)))
 
 
-def test_query_many_max_orientation_reaches_two_to_the_63():
-    t = LiChaoTree(Domain(0, 1), "max")
-    t.insert_line((0, 2**63))
-    assert assert_batches_match(t, [0, 1] * 65) == [2**63] * 130
+def test_query_many_max_orientation_spans_i64_min_plus_one_to_i64_max():
+    for bad in ((0, 2**63), (0, I64_MIN)):
+        with pytest.raises(OverflowError):
+            LiChaoTree(Domain(0, 1), "max").insert_line(bad)
+    for good in ((0, I64_MIN + 1), (0, I64_MAX)):
+        t = build(Domain(0, 1), [good], orientation="max")
+        assert assert_batches_match(t, [0, 1] * 65) == [good[1]] * 130
     mx = LiChaoTree(Domain(-16, 16), "max")
     for ln in [(1, 0), (-1, 10), (0, 4)]:
         mx.insert_line(ln)
     mx.insert_segment((0, 100), -3, 2)
     assert_batches_match(mx, list(range(-16, 17)) * 2)
+
+
+def test_query_many_answers_i64_max_through_the_kernel():
+    # both lines give exactly I64_MAX at x = 0, the kernel's starting value
+    t = build(Domain(0, 7), [(-2, I64_MAX), (-1, I64_MAX)])
+    assert assert_batches_match(t, list(range(8)) * 20)[:2] == [
+        I64_MAX, I64_MAX - 2]
 
 
 def test_query_many_over_the_full_64bit_domain():
@@ -380,14 +408,14 @@ def test_query_many_rejects_an_out_of_domain_x():
         empty._query_batch([4])
 
 
-def test_query_many_falls_back_on_coefficients_outside_int64():
+def test_coefficients_and_domains_outside_int64_are_rejected_up_front():
     t = LiChaoTree(Domain(0, 0))
-    t.insert_line((2**70, 5))
-    assert_batches_match(t, [0] * 130, kernel_runs=False)
-    big = LiChaoTree(Domain(-2**70, 2**70))
-    big.insert_line((0, 3))
-    assert big._query_batch([-2**70, 0, 2**70]) == [3, 3, 3]
-    assert kernel(big, [0]) is None
+    with pytest.raises(OverflowError):
+        t.insert_line((2**70, 5))
+    assert t.node_count == 0
+    for lo, hi in ((-2**70, 2**70), (0, 2**63), (I64_MIN - 1, 0)):
+        with pytest.raises(InvalidDomainError):
+            Domain(lo, hi)
 
 
 def test_query_many_follows_a_subclass_query():

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 import lichao.core
-from lichao import (Domain, LiChaoTree, OutOfDomainError, PersistentForest,
-                    UnknownVersionError)
+from lichao import (I64_MAX, I64_MIN, Domain, LiChaoTree, OutOfDomainError,
+                    PersistentForest, UnknownVersionError, ZkwTree)
 
 DOM = Domain(0, 1023)
 H1 = DOM.depth_bound + 1  # max nodes on one root-to-leaf path
@@ -170,9 +170,17 @@ def test_query_many_checks_the_version_even_for_empty_xs():
 
 
 def test_query_many_max_orientation_and_subclass_query():
+    # max orientation takes values in [I64_MIN + 1, I64_MAX], as the tree
     f = PersistentForest(Domain(0, 1), orientation="max")
-    v = f.insert(0, (0, 2**63))
-    assert f.query_many(v, [0, 1] * 65) == [2**63] * 130
+    for bad in ((0, 2**63), (0, I64_MIN)):
+        with pytest.raises(OverflowError):
+            f.insert(0, bad)
+    assert f.version_count == 1 and f.arena_size == 0
+    for good in ((0, I64_MIN + 1), (0, I64_MAX)):
+        v = f.insert(0, good)
+        xs = [0, 1] * 65
+        assert f.query_many(v, xs) == [f.query(v, x) for x in xs]
+        assert f._query_batch(v, xs) == [good[1]] * 130
 
     class Shifted(PersistentForest):
         def query(self, version, x):
@@ -204,3 +212,25 @@ def test_query_many_size_rule_weighs_the_version(monkeypatch):
     monkeypatch.setattr(lichao.core, "_walk_batch", counting)
     assert f.query_many(v, xs) == [f.query(v, x) for x in xs]
     assert len(calls) == 1
+
+
+def test_the_three_insert_loops_build_the_same_tree():
+    # the tree, zkw and the forest each keep their own insert loop; on a
+    # power-of-two domain (no zkw padding) they must store the same line at
+    # every node, ties included
+    d = Domain(0, 255)
+    rng = np.random.default_rng(12)
+    t, z, f = LiChaoTree(d), ZkwTree(d.lo, d.size), PersistentForest(d)
+    v = 0
+    for _ in range(300):
+        ln = (int(rng.integers(-3, 4)), int(rng.integers(-20, 21)))
+        t.insert_line(ln)
+        z.insert_line(ln)
+        v = f.insert(v, ln)
+
+    def shape(nodes):
+        return sorted((l, r, depth, tuple(line))
+                      for _h, l, r, depth, line in nodes)
+
+    assert shape(t.iter_nodes()) == shape(z.iter_nodes())
+    assert shape(t.iter_nodes()) == shape(f._nodes(f._roots[v]))

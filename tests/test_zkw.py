@@ -19,6 +19,8 @@ def test_invalid_size_rejected():
         ZkwTree(0, 0)
     with pytest.raises(InvalidDomainError):
         ZkwTree(0, -3)
+    with pytest.raises(InvalidDomainError):
+        ZkwTree(2**63 - 1, 2)  # the last coordinate leaves int64
 
 
 def test_empty_tree_queries_absent():
