@@ -1,0 +1,153 @@
+#!/usr/bin/env python3
+"""Mutation catalogue: single-token faults that the quick suite must kill.
+
+Each mutant replaces one piece of source text that must occur exactly once
+in its file.  For every mutant the script copies the repository to a
+temporary directory, applies the replacement there, runs the quick suite
+(`python -m pytest -q -x -k "not acceptance" tests perfbench`) against the
+copy and prints one JSON object per line:
+
+- `killed`: the suite failed;
+- `survived`: the suite passed;
+- `equivalent`: a mutant that cannot change an answer (its reason says
+  why) passed, as it should;
+- `unapplied`: the text to replace does not occur exactly once.
+
+A last line sums the results.  The exit status is 1 when a mutant that is
+not equivalent survived or was not applied, else 0.  The repository itself
+is never modified.  A mutant that passes runs the whole quick suite, about
+20 s on 2 CPUs, and the catalogue about 2 min, so this script is not part
+of the Tier-1 suite.
+
+    python scripts/mutants.py
+"""
+
+import json
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from collections import Counter
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SUITE = ["-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+         "-k", "not acceptance", "tests", "perfbench"]
+TIMEOUT_S = 900
+
+CORE = "src/lichao/core.py"
+ZKW = "src/lichao/zkw.py"
+PERSISTENT = "src/lichao/persistent.py"
+BASELINE = "src/lichao/baseline.py"
+
+# (name, file, old, new, reason it is equivalent or None)
+CATALOGUE = [
+    # tie-breaks: they change which line a node stores, not the answers
+    ("core-lef-tie", CORE, "lef = k * l + b < ck * l + cb",
+     "lef = k * l + b <= ck * l + cb", None),
+    ("persistent-lef-tie", PERSISTENT, "lef = k * l + b < ck * l + cb",
+     "lef = k * l + b <= ck * l + cb", None),
+    ("zkw-midf-tie", ZKW, "midf = k * xm + b < ck * xm + cb",
+     "midf = k * xm + b <= ck * xm + cb", None),
+    # the batch kernel
+    ("kernel-dummy-intercept", CORE, "bb[-1] = I64_MAX\n",
+     "bb[-1] = I64_MAX - 1\n", None),
+    ("kernel-right-ge", CORE, "right = pos > half",
+     "right = pos >= half", None),
+    ("kernel-no-half-step", CORE, "        half += 1\n", "", None),
+    ("kernel-never-right", CORE, "cur += right", "cur += 0", None),
+    ("kernel-no-width-step", CORE, "        width -= right\n", "", None),
+    ("kernel-declines", CORE,
+     'if x.dtype.kind != "i" or x.ndim != 1:', "if True:", None),
+    # the routing check of audited inserts, its two intervals swapped
+    ("routing-intervals-swapped", CORE,
+     "self._assert_routing(ck, cb, k, b, m + 1, r)\n"
+     "                    else:\n"
+     "                        self._assert_routing(ck, cb, k, b, l, m)",
+     "self._assert_routing(ck, cb, k, b, l, m)\n"
+     "                    else:\n"
+     "                        self._assert_routing(ck, cb, k, b, m + 1, r)",
+     None),
+    # hull pruning keeps lines that no longer contribute
+    ("hull-isect-gt", BASELINE, "return x[2] >= y[2]",
+     "return x[2] > y[2]", None),
+    ("hull-cascade-gt", BASELINE,
+     "while i > 0 and sl[i - 1][2] >= sl[i][2]",
+     "while i > 0 and sl[i - 1][2] > sl[i][2]", None),
+    # the forest's size rule weighs the whole arena, not the version
+    ("forest-size-whole-arena", PERSISTENT, "min(version, len(self._k))",
+     "len(self._k)", None),
+    # counters
+    ("zkw-insert-visits-plus-one", ZKW,
+     "self.last_visited = i.bit_length()",
+     "self.last_visited = i.bit_length() + 1", None),
+    ("zkw-query-visits-plus-one", ZKW,
+     "self.last_visited = self._p.bit_length()",
+     "self.last_visited = self._p.bit_length() + 1", None),
+    ("core-left-child-depth-plus-one", CORE,
+     "Lc[cur] = self._alloc(k, b, depth + visits)",
+     "Lc[cur] = self._alloc(k, b, depth + visits + 1)", None),
+    # equivalent mutants
+    ("segment-clamp-ge", CORE, "lo = xl if xl > d.lo else d.lo",
+     "lo = xl if xl >= d.lo else d.lo",
+     "at xl == d.lo both arms give the same bound"),
+    ("batch-size-rule-no-plus-one", CORE,
+     "len(xs) * (self.domain.depth_bound + 1) < size",
+     "len(xs) * self.domain.depth_bound < size",
+     "the rule only picks the kernel or the scalar loop, which give the "
+     "same answers; only the speed of a run can change"),
+]
+
+IGNORE = shutil.ignore_patterns(".git", ".hypothesis", ".pytest_cache",
+                                "__pycache__", ".benchmarks", "*.egg-info")
+
+
+def run_mutant(name, path, old, new, reason) -> dict:
+    result = {"name": name, "file": path}
+    text = (ROOT / path).read_text()
+    count = text.count(old)
+    if count != 1:
+        result.update(result="unapplied", occurrences=count)
+        return result
+    with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
+        copy = Path(tmp) / "repo"
+        shutil.copytree(ROOT, copy, ignore=IGNORE)
+        (copy / path).write_text(text.replace(old, new))
+        env = dict(os.environ, PYTHONPATH=str(copy / "src"),
+                   PYTHONDONTWRITEBYTECODE="1")
+        start = time.perf_counter()
+        try:
+            proc = subprocess.run([sys.executable, *SUITE], cwd=copy,
+                                  env=env, capture_output=True, text=True,
+                                  timeout=TIMEOUT_S)
+            passed = proc.returncode == 0
+            lines = proc.stdout.strip().splitlines() or [""]
+            by = next((l for l in lines if l.startswith(("FAILED", "ERROR"))),
+                      lines[-1])
+        except subprocess.TimeoutExpired:
+            passed = False
+            by = f"timed out after {TIMEOUT_S} s"
+        result["seconds"] = round(time.perf_counter() - start, 1)
+    if not passed:
+        result.update(result="killed", by=by)
+    elif reason is not None:
+        result.update(result="equivalent", reason=reason)
+    else:
+        result["result"] = "survived"
+    return result
+
+
+def main() -> int:
+    totals = Counter()
+    for mutant in CATALOGUE:
+        result = run_mutant(*mutant)
+        totals[result["result"]] += 1
+        print(json.dumps(result), flush=True)
+    print(json.dumps({"total": len(CATALOGUE), **totals}))
+    return 1 if totals.get("survived") or totals.get("unapplied") else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -33,9 +33,6 @@ class LineContainer:
         # sorted by slope k; p is the threshold up to which the line wins
         self._sl = SortedKeyList(key=lambda t: t[0])
 
-    def __len__(self) -> int:
-        return len(self._sl)
-
     def hull_size(self) -> int:
         """Number of lines currently contributing to the envelope."""
         return len(self._sl)

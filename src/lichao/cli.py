@@ -22,7 +22,7 @@ from .bench import (ALGOS, ChecksumMismatchError, WorkloadMismatchError,
                     gen_nc_workload, gen_random_workload, make_engine,
                     run_benchmark)
 from .core import (I64_MAX, I64_MIN, Domain, InvalidDomainError,
-                   OutOfDomainError)
+                   OutOfDomainError, _check_representable)
 from .verify import gen_verify_ops, run_verify
 
 
@@ -135,8 +135,11 @@ def cmd_replay(args) -> int:
     if why:
         raise WorkloadMismatchError(f"{args.file}: {why}")
     engine = make_engine(args.algo, domain)
+    # cht has no domain: lines and query points are checked against it here,
+    # so every --algo fails at the same op
     for op in ops:
         if op[0] == "A":
+            _check_representable(op[1], op[2], lo, hi)
             engine.insert_line((op[1], op[2]))
         elif op[0] == "S":
             engine.insert_segment((op[1], op[2]), op[3], op[4])

@@ -324,6 +324,8 @@ class _PointerArena:
         return self._k, self._b, self._left, self._right, root
 
     def _kernel(self, root: int, xs) -> "Optional[list]":
+        """`_walk_batch` from `root`: the kernel's one entry, for `_batch`
+        and for `run_verify`, which fails a decline (None)."""
         d = self.domain
         return _walk_batch(*self._arena(root), d.lo, d.hi, xs, self._neg)
 
@@ -406,11 +408,13 @@ class LiChaoTree(_PointerArena):
 
     def _insert_descend(self, cur: int, l: int, r: int, depth: int,
                         k: int, b: int) -> "tuple[int, int]":
-        """Route line (k, b) down from `cur` over [l, r].
+        """Route line (k, b) down from `cur`, a node at `depth` over [l, r].
 
         Returns (handle, visits): `handle` is `cur`, or the handle of the
         newly created node when `cur` was NIL.  At most one node is
-        allocated per call.
+        allocated per call.  The `visits`-th node of the descent lies at
+        depth + visits - 1, so a child allocated below it lies at
+        depth + visits.
         """
         if cur == NIL:
             return self._alloc(k, b, depth), 1
@@ -454,18 +458,17 @@ class LiChaoTree(_PointerArena):
                 nxt = Lc[cur]
                 r = m
                 if nxt == NIL:
-                    Lc[cur] = self._alloc(k, b, depth + 1)
+                    Lc[cur] = self._alloc(k, b, depth + visits)
                     visits += 1
                     break
             else:
                 nxt = Rc[cur]
                 l = m + 1
                 if nxt == NIL:
-                    Rc[cur] = self._alloc(k, b, depth + 1)
+                    Rc[cur] = self._alloc(k, b, depth + visits)
                     visits += 1
                     break
             cur = nxt
-            depth += 1
         return top, visits
 
     def insert_line(self, line) -> None:
@@ -535,11 +538,6 @@ class LiChaoTree(_PointerArena):
         docstring).  The kernel path leaves `last_visited` as it was.
         """
         got = self._batch(LiChaoTree, self._root, len(self._k), xs)
-        return list(map(self.query, xs)) if got is None else got
-
-    def _query_batch(self, xs) -> "list[Optional[int]]":
-        """`query_many` through the kernel whatever the run length."""
-        got = self._kernel(self._root, xs)
         return list(map(self.query, xs)) if got is None else got
 
     def iter_nodes(self) -> Iterator["tuple[int, int, int, int, Optional[tuple]]"]:

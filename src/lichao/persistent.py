@@ -122,17 +122,10 @@ class PersistentForest(_PointerArena):
         self._check_version(version)
         got = self._batch(PersistentForest, self._roots[version],
                           min(version, len(self._k)), xs)
-        return self._query_loop(version, xs) if got is None else got
-
-    def _query_batch(self, version: int, xs) -> "list[Optional[int]]":
-        """`query_many` through the kernel whatever the run length."""
-        self._check_version(version)
-        got = self._kernel(self._roots[version], xs)
-        return self._query_loop(version, xs) if got is None else got
-
-    def _query_loop(self, version: int, xs) -> "list[Optional[int]]":
-        q = self.query
-        return [q(version, x) for x in xs]
+        if got is None:
+            q = self.query
+            got = [q(version, x) for x in xs]
+        return got
 
     def _arena(self, root: int) -> tuple:
         # a version is a tree, usually far smaller than the arena the older

@@ -6,7 +6,7 @@ checks every query answer for exact equality.  Structural guards run along
 the way: per-op visited-node bounds, the node-count bound for full-line
 workloads, routing-dominance assertions inside the instrumented tree, and
 a full midpoint-optimality audit at the end.  The batch query kernel is
-checked last, on the final state.
+called directly last, on the final state; a kernel that declines fails.
 
 The core tree always runs; zkw, cht and the persistent forest join on
 request if `lichao.bench.engine_mismatch` allows them the op stream, and
@@ -15,8 +15,8 @@ the report names the engines that ran.
 On a mismatch the minimal failing prefix is the op list truncated right
 after the first divergent query (all earlier queries matched, so no
 shorter prefix can fail); a routing-dominance violation truncates it after
-the insertion that raised.  A batch-kernel mismatch names the whole op
-list, since only the final state was queried.
+the insertion that raised.  A batch-kernel mismatch or decline names the
+whole op list, since only the final state was queried.
 """
 
 from dataclasses import dataclass, field
@@ -103,10 +103,11 @@ def run_verify(ops: list, c: int, *, include_zkw: bool = False,
     check runs on every call: routing dominance on each core insertion,
     per-op visit bounds for every tree engine, the node-count bound on
     full-line runs, the routed and midpoint audits at the end, and then the
-    batch query kernel of the core tree and of the forest's latest version
-    at up to `BATCH_POINTS` distinct query points of the run, against the
-    oracle's final state.  Returns a report; `ok` is True iff every query
-    matched the oracle exactly and no structural guard fired.
+    batch query kernel of the core tree and of the forest's latest version,
+    called directly at up to `BATCH_POINTS` distinct query points of the
+    run, against the oracle's final state.  Returns a report; `ok` is True
+    iff every query matched the oracle exactly, no structural guard fired
+    and no kernel declined.
     """
     has_segments = any(op[0] == "S" for op in ops)
     engines = ["lict"]
@@ -258,7 +259,8 @@ def _routing_failure(report: VerifyReport, ops: list, idx: int,
 def _check_batch(report: VerifyReport, ops: list, naive: NaiveSet,
                  tree: LiChaoTree, forest: Optional[PersistentForest],
                  latest: int) -> None:
-    """Compare the batch kernels with the oracle on the final state."""
+    """Compare the batch kernels with the oracle on the final state; the
+    query points lie in the domain, so a decline (None) is a failure."""
     xs = []
     for op in ops:
         if op[0] == "Q" and op[1] not in xs:
@@ -268,10 +270,17 @@ def _check_batch(report: VerifyReport, ops: list, naive: NaiveSet,
     if not xs:
         return
     expected = [naive.query(x) for x in xs]
-    batches = [("lict-batch", tree._query_batch(xs))]
+    batches = [("lict-batch", tree._kernel(tree._root, xs))]
     if forest is not None:
-        batches.append(("persistent-batch", forest._query_batch(latest, xs)))
+        batches.append(("persistent-batch",
+                        forest._kernel(forest._roots[latest], xs)))
     for engine, got in batches:
+        if got is None:
+            report.ok = False
+            report.failing_prefix = list(ops)
+            report.failure = (f"final state: {engine} kernel declined "
+                              f"{len(xs)} in-domain query points")
+            return
         for x, want, have in zip(xs, expected, got):
             if have != want:
                 report.ok = False

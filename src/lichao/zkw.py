@@ -57,9 +57,7 @@ class ZkwTree:
         off = self.lo
         i = 1
         l, r = 0, self._p - 1
-        visits = 0
         while True:
-            visits += 1
             ck = K[i]
             if ck is None:
                 K[i] = k
@@ -83,7 +81,8 @@ class ZkwTree:
             else:
                 i = 2 * i + 1
                 l = m + 1
-        self.last_visited = visits
+        # one cell read per level, from the root (cell 1) down to cell i
+        self.last_visited = i.bit_length()
 
     def query(self, x: int) -> Optional[int]:
         """Envelope value at x, or None; bottom-up walk from the leaf cell."""
@@ -94,16 +93,15 @@ class ZkwTree:
         K, B = self._k, self._b
         i = pos + self._p
         best = None
-        visits = 0
         while i:
-            visits += 1
             ck = K[i]
             if ck is not None:
                 v = ck * x + B[i]
                 if best is None or v < best:
                     best = v
             i >>= 1
-        self.last_visited = visits
+        # one cell per level, from the leaf level up to the root
+        self.last_visited = self._p.bit_length()
         return best
 
     def iter_nodes(self) -> Iterator["tuple[int, int, int, int, Line]"]:

@@ -2,6 +2,7 @@ import re
 
 import pytest
 
+import lichao.core
 from lichao import (LiChaoTree, PersistentForest, RoutingDominanceError,
                     ZkwTree)
 from lichao.bench import WorkloadMismatchError
@@ -69,6 +70,19 @@ def test_replay_output_identical_across_algos(tmp_path, capsys):
         assert code == 0
         outs[algo] = out
     assert outs["lict"] == outs["zkw"] == outs["cht"]
+
+
+def test_replay_checks_each_line_against_the_domain(tmp_path, capsys):
+    # 2^54 * 1023 leaves int64: every algo rejects the line before a query
+    path = write(tmp_path, "ops.txt", f"A {2**54} 0\nQ 1\nQ 1023\n")
+    errs = set()
+    for algo in ("lict", "zkw", "cht"):
+        code, out, err = run(capsys, "replay", "--file", path,
+                             "--algo", algo, "--domain", "0", "1023")
+        assert (code, out) == (1, "")
+        assert err.count("\n") == 1
+        errs.add(err)
+    assert len(errs) == 1
 
 
 def test_replay_segments(tmp_path, capsys):
@@ -243,17 +257,30 @@ def test_verify_reports_a_routing_fault(monkeypatch, capsys, segments):
                                         (PersistentForest, "persistent-batch")])
 def test_verify_checks_the_batch_kernel(monkeypatch, cls, engine):
     ops = gen_verify_ops(600, 256, 4)
-    orig = cls._query_batch
+    orig = cls._kernel
 
-    def off_by_one(self, *args):
-        return [None if v is None else v + 1 for v in orig(self, *args)]
+    def off_by_one(self, root, xs):
+        return [None if v is None else v + 1 for v in orig(self, root, xs)]
 
-    monkeypatch.setattr(cls, "_query_batch", off_by_one)
+    monkeypatch.setattr(cls, "_kernel", off_by_one)
     report = run_verify(ops, 256, include_persistent=True)
     assert not report.ok
     assert report.divergence[3] == engine
     assert report.failing_prefix == ops
     assert engine in report.failure
+
+
+def test_verify_fails_a_kernel_that_declines(monkeypatch, capsys):
+    # the verify query points lie in the domain, so the kernel must answer
+    monkeypatch.setattr(lichao.core, "_walk_batch", lambda *args: None)
+    ops = gen_verify_ops(600, 256, 4)
+    report = run_verify(ops, 256, include_persistent=True)
+    assert not report.ok
+    assert report.failure.startswith("final state: lict-batch kernel declined")
+    assert report.failing_prefix == ops
+    code, out, err = run(capsys, "verify", "--ops", "2000", "--c", "512")
+    assert code == 1 and out == ""
+    assert "lict-batch kernel declined" in err
 
 
 def test_verify_zero_ops_vacuously_passes(capsys):

@@ -7,7 +7,6 @@ from lichao import (Domain, I64_MAX, I64_MIN, InvalidDomainError,
                     InvalidSegmentError, LiChaoTree, Line, NaiveSet,
                     OutOfDomainError, PersistentForest, RoutingDominanceError,
                     ZkwTree)
-from lichao.core import _walk_batch
 
 # four lines whose insertion exercises keep, route-left, route-right and a
 # displacement swap on the [0, 8] domain
@@ -240,6 +239,17 @@ def test_stats_after_inserts():
     s = t.stats()
     assert s.node_count <= n
     assert s.max_depth_observed <= 10  # ceil(log2(1024))
+    # the running maximum is the deepest node's depth after every insert,
+    # segments included
+    t = LiChaoTree(Domain(0, 2**16 - 1))
+    for i in range(400):
+        ln = (int(rng.integers(-50, 51)), int(rng.integers(-10**6, 10**6)))
+        if i < 300:
+            t.insert_line(ln)
+        else:
+            t.insert_segment(ln, *sorted(rng.integers(0, 2**16, 2).tolist()))
+        assert t.stats().max_depth_observed == max(
+            depth for _h, _l, _r, depth, _ln in t.iter_nodes())
 
 
 def test_visit_bounds_per_operation():
@@ -298,31 +308,24 @@ def test_max_orientation_segments():
     assert mx.query(10) is None
 
 
-# --- batch queries: query_many, _query_batch and the kernel itself --------
-
-
-def kernel(t, xs):
-    """The level-walk kernel on a tree; None means it declined."""
-    d = t.domain
-    return _walk_batch(t._k, t._b, t._left, t._right, t._root, d.lo, d.hi,
-                       xs, t._neg)
+# --- batch queries: query_many and the kernel itself ----------------------
 
 
 def assert_batches_match(t, xs):
-    """query_many, _query_batch and the kernel all equal scalar query."""
+    """query_many and the kernel (None means it declined) both equal
+    scalar query."""
     expected = [t.query(x) for x in xs]
     assert t.query_many(xs) == expected
-    assert t._query_batch(xs) == expected
-    assert kernel(t, xs) == expected
+    assert t._kernel(t._root, xs) == expected
     return expected
 
 
 def test_query_many_on_an_empty_tree_and_empty_xs():
     t = LiChaoTree(Domain(0, 8))
-    assert t.query_many([]) == [] and t._query_batch([]) == []
+    assert t.query_many([]) == [] and t._kernel(t._root, []) == []
     assert assert_batches_match(t, list(range(9)) * 15) == [None] * 135
     t.insert_line((1, 0))
-    assert t.query_many([]) == [] and t._query_batch([]) == []
+    assert t.query_many([]) == [] and t._kernel(t._root, []) == []
 
 
 def test_query_many_on_a_single_point_domain():
@@ -401,11 +404,11 @@ def test_query_many_rejects_an_out_of_domain_x():
                [2**64] * 130):
         with pytest.raises(OutOfDomainError):
             t.query_many(xs)
-        with pytest.raises(OutOfDomainError):
-            t._query_batch(xs)
+        assert t._kernel(t._root, xs) is None
     empty = LiChaoTree(Domain(0, 3))
+    assert empty._kernel(empty._root, [4]) is None
     with pytest.raises(OutOfDomainError):
-        empty._query_batch([4])
+        empty.query_many([4] * 130)
 
 
 def test_coefficients_and_domains_outside_int64_are_rejected_up_front():

@@ -150,21 +150,20 @@ def test_query_many_matches_scalar_on_every_version():
     for v in versions[::7] + [versions[-1], side]:
         expected = [f.query(v, x) for x in xs]
         assert f.query_many(v, xs) == expected
-        assert f._query_batch(v, xs) == expected
+        assert f._kernel(f._roots[v], xs) == expected
         assert f.query_many(v, xs[:5]) == expected[:5]
-    assert f._query_batch(versions[10], xs) != f._query_batch(side, xs)
+    assert (f._kernel(f._roots[versions[10]], xs)
+            != f._kernel(f._roots[side], xs))
 
 
 def test_query_many_checks_the_version_even_for_empty_xs():
     f = PersistentForest(DOM)
     v = f.insert(0, (1, 1))
-    assert f.query_many(v, []) == [] and f._query_batch(v, []) == []
+    assert f.query_many(v, []) == [] and f._kernel(f._roots[v], []) == []
     for bad in (-1, 2, 42):
         for xs in ([], [3], list(range(100))):
             with pytest.raises(UnknownVersionError):
                 f.query_many(bad, xs)
-            with pytest.raises(UnknownVersionError):
-                f._query_batch(bad, xs)
     with pytest.raises(OutOfDomainError):
         f.query_many(v, list(range(100)) + [1024])
 
@@ -180,7 +179,7 @@ def test_query_many_max_orientation_and_subclass_query():
         v = f.insert(0, good)
         xs = [0, 1] * 65
         assert f.query_many(v, xs) == [f.query(v, x) for x in xs]
-        assert f._query_batch(v, xs) == [good[1]] * 130
+        assert f._kernel(f._roots[v], xs) == [good[1]] * 130
 
     class Shifted(PersistentForest):
         def query(self, version, x):
@@ -217,7 +216,7 @@ def test_query_many_size_rule_weighs_the_version(monkeypatch):
 def test_the_three_insert_loops_build_the_same_tree():
     # the tree, zkw and the forest each keep their own insert loop; on a
     # power-of-two domain (no zkw padding) they must store the same line at
-    # every node, ties included
+    # every node, ties included, and each insert must count the same path
     d = Domain(0, 255)
     rng = np.random.default_rng(12)
     t, z, f = LiChaoTree(d), ZkwTree(d.lo, d.size), PersistentForest(d)
@@ -227,6 +226,7 @@ def test_the_three_insert_loops_build_the_same_tree():
         t.insert_line(ln)
         z.insert_line(ln)
         v = f.insert(v, ln)
+        assert t.last_visited == z.last_visited == f.last_appended
 
     def shape(nodes):
         return sorted((l, r, depth, tuple(line))

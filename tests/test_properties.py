@@ -101,8 +101,8 @@ def _agree_with_the_oracle(dom, ls):
     assert [z.query(x) for x in xs] == expected
     assert [c.query(x) for x in xs] == expected
     # the batch kernel, whatever the run length
-    assert t._query_batch(xs) == expected
-    assert p._query_batch(v, xs) == expected
+    assert t._kernel(t._root, xs) == expected
+    assert p._kernel(p._roots[v], xs) == expected
 
 
 @given(ls=lines)
@@ -111,6 +111,7 @@ def test_all_structures_agree_with_the_oracle(ls):
         _agree_with_the_oracle(dom, ls)
 
 
+@settings(deadline=None)
 @given(data=st.data())
 def test_segments_agree_with_the_oracle(data):
     ops = []
@@ -136,7 +137,7 @@ def test_segments_agree_with_the_oracle(data):
                 naive.add_segment(ln, xl, xr)
         expected = [naive.query(x) for x in xs]
         assert [t.query(x) for x in xs] == expected
-        assert t._query_batch(xs) == expected
+        assert t._kernel(t._root, xs) == expected
         assert t.audit_routed_optimality() == []
 
 
