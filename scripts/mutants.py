@@ -41,6 +41,7 @@ CORE = "src/lichao/core.py"
 ZKW = "src/lichao/zkw.py"
 PERSISTENT = "src/lichao/persistent.py"
 BASELINE = "src/lichao/baseline.py"
+BENCH = "src/lichao/bench.py"
 
 # (name, file, old, new, reason it is equivalent or None)
 CATALOGUE = [
@@ -79,6 +80,9 @@ CATALOGUE = [
     # the forest's size rule weighs the whole arena, not the version
     ("forest-size-whole-arena", PERSISTENT, "min(version, len(self._k))",
      "len(self._k)", None),
+    # the engine rule refuses zkw at its cap, not only above it
+    ("zkw-cap-inclusive", BENCH, "universe > ZKW_MAX_UNIVERSE",
+     "universe >= ZKW_MAX_UNIVERSE", None),
     # counters
     ("zkw-insert-visits-plus-one", ZKW,
      "self.last_visited = i.bit_length()",

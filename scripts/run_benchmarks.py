@@ -27,8 +27,14 @@ def show(result, regime):
           f"{result.cv:>7.4f}")
 
 
-def algos(static):
-    return [a for a in ALGOS if engine_mismatch(a, static, False) is None]
+def workloads(args):
+    """(regime, workload) pairs: the free-range sizes, then the static."""
+    for n in args.sizes:
+        yield "free", gen_random_workload(n, args.seed)
+        yield "free", gen_hull_workload(n, args.seed)
+    for n in args.nc_sizes:
+        for dist in ("random", "hull"):
+            yield "n=c", gen_nc_workload(n, dist, args.seed)
 
 
 def main():
@@ -46,27 +52,13 @@ def main():
 
     results = []
     print(HEADER)
-    for n in args.sizes:
-        for dist in ("random", "hull"):
-            if dist == "random":
-                wl = gen_random_workload(n, args.seed)
-            else:
-                wl = gen_hull_workload(n, args.seed)
-            group = [run_benchmark(wl, algo, args.reps)
-                     for algo in algos(static=False)]
-            ensure_consistent(group)
-            for r in group:
-                show(r, "free")
-            results += group
-    for n in args.nc_sizes:
-        for dist in ("random", "hull"):
-            wl = gen_nc_workload(n, dist, args.seed)
-            group = [run_benchmark(wl, algo, args.reps)
-                     for algo in algos(static=True)]
-            ensure_consistent(group)
-            for r in group:
-                show(r, "n=c")
-            results += group
+    for regime, wl in workloads(args):
+        group = [run_benchmark(wl, algo, args.reps) for algo in ALGOS
+                 if engine_mismatch(algo, wl.domain.size, False) is None]
+        ensure_consistent(group)
+        for r in group:
+            show(r, regime)
+        results += group
     write_csv(results, args.csv)
     print(f"\n{len(results)} rows written to {args.csv}")
 

@@ -26,7 +26,11 @@ _INF = 1 << 127
 
 
 class LineContainer:
-    """Multiset-of-lines lower envelope with O(log N) insert and query."""
+    """Multiset-of-lines lower envelope.
+
+    Insertion is amortized O(log N).  A query is O(log^2 N): its binary
+    search reads the sorted list by index, at O(log N) per read.
+    """
 
     def __init__(self):
         # items are mutable [k, m, p] triples of the internal max hull,

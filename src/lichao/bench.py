@@ -34,6 +34,9 @@ COORD_BOUND = 10**9
 
 ALGOS = ("lict", "zkw", "cht")
 
+# largest universe zkw may allocate: 2^26 cell pointers, 512 MB
+ZKW_MAX_UNIVERSE = 1 << 24
+
 CSV_FIELDS = ("n", "distribution", "algo", "insert_ms", "query_ms",
               "total_ms", "cv", "checksum")
 
@@ -61,7 +64,6 @@ class Workload:
     ops: list
     label: str
     seed: int
-    nc: bool = False  # static-universe regime (universe sized by op count)
 
 
 @dataclass
@@ -166,7 +168,7 @@ def gen_nc_workload(n: int, distribution: str, seed: int) -> Workload:
         xs = rng.integers(0, n + 1, size=n_q).tolist()
         ops = [("A", -(i + 1), (i + 1) * (i + 1)) for i in order]
     ops += [("Q", x) for x in xs]
-    return Workload(domain, ops, distribution, seed, nc=True)
+    return Workload(domain, ops, distribution, seed)
 
 
 def _build_runs(ops):
@@ -200,20 +202,20 @@ def make_engine(algo: str, domain: Domain):
     return LineContainer()
 
 
-def engine_mismatch(algo: str, static: bool,
+def engine_mismatch(algo: str, universe: int,
                     segments: bool) -> Optional[str]:
     """Why engine `algo` (one of ALGOS or "persistent") cannot run a stream
-    with or without `segments`, or None when it can.
+    over `universe` points with or without `segments`, or None when it can.
 
     Only lict takes segments.  zkw allocates its whole universe up front,
-    so it needs a `static` one: sized by the op count (`Workload.nc`,
-    `--nc`) or fixed by the caller (a replay domain, `run_verify`'s c).
+    so it runs on at most ZKW_MAX_UNIVERSE points.
     """
     if segments and algo != "lict":
         return f"{algo} does not support segments; only lict does"
-    if algo == "zkw" and not static:
-        return ("zkw needs a static universe (--nc: sized by the op count); "
-                "its cell array covers the whole universe up front")
+    if algo == "zkw" and universe > ZKW_MAX_UNIVERSE:
+        return (f"zkw allocates its whole universe up front; {universe} "
+                f"points exceed its cap of {ZKW_MAX_UNIVERSE} (--nc sizes "
+                f"the universe by the op count)")
     return None
 
 
@@ -230,7 +232,7 @@ def run_benchmark(workload: Workload, algo: str, reps: int) -> BenchResult:
         raise WorkloadMismatchError(f"unknown algo {algo!r}")
     if reps < 1:
         raise ValueError("reps must be >= 1")
-    why = engine_mismatch(algo, workload.nc,
+    why = engine_mismatch(algo, workload.domain.size,
                           any(op[0] == "S" for op in workload.ops))
     if why:
         raise WorkloadMismatchError(why)

@@ -4,7 +4,9 @@ Exit codes: 0 success, 1 verification or runtime failure (divergent query,
 checksum mismatch, out-of-domain op, overflow, out of memory), 2 usage or
 parse error, including an --algo that cannot run the input.  Which engine
 can run which op stream is decided by `lichao.bench.engine_mismatch`
-alone; `verify` checks every engine the generated stream allows.
+alone, from the universe size and the presence of segments: zkw runs on at
+most `ZKW_MAX_UNIVERSE` points.  `verify` checks every engine the
+generated stream allows.
 
 Op files are plain text, one op per line: `A k b` inserts a line,
 `S k b xl xr` inserts a segment, `Q x` queries.  Lines starting with `#`
@@ -68,9 +70,6 @@ def format_op(op) -> str:
 
 
 def cmd_bench(args) -> int:
-    why = engine_mismatch(args.algo, args.nc, False)
-    if why:
-        raise WorkloadMismatchError(why)
     if args.n < 2 or args.reps < 1:
         print("error: need --n >= 2 and --reps >= 1", file=sys.stderr)
         return 2
@@ -91,16 +90,13 @@ def cmd_bench(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if args.c < 1:
-        print("error: --c must be >= 1", file=sys.stderr)
+    if args.c < 1 or args.ops < 0:
+        print("error: need --c >= 1 and --ops >= 0", file=sys.stderr)
         return 2
     ops = gen_verify_ops(args.ops, args.c, args.seed, segments=args.segments)
-    # the universe counts as static while zkw's cells (fewer than 4c) stay
-    # proportional to the op count
-    static = args.c <= len(ops)
     segments = any(op[0] == "S" for op in ops)
     report = run_verify(ops, args.c, **{
-        f"include_{e}": engine_mismatch(e, static, segments) is None
+        f"include_{e}": engine_mismatch(e, args.c, segments) is None
         for e in ("zkw", "cht", "persistent")})
     if report.ok:
         print(f"OK: {report.queries_checked} queries checked over "
@@ -130,8 +126,8 @@ def cmd_replay(args) -> int:
     except InvalidDomainError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    # the replay universe is the --domain given, so it is static
-    why = engine_mismatch(args.algo, True, any(op[0] == "S" for op in ops))
+    why = engine_mismatch(args.algo, domain.size,
+                          any(op[0] == "S" for op in ops))
     if why:
         raise WorkloadMismatchError(f"{args.file}: {why}")
     engine = make_engine(args.algo, domain)
@@ -165,7 +161,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--algo", choices=ALGOS, required=True)
     p.add_argument("--nc", action="store_true",
                    help="static-universe regime: coordinate range sized by "
-                        "the op count (required for --algo zkw)")
+                        "the op count")
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--reps", type=int, default=10)
     p.add_argument("--csv", help="append the result row to this CSV file")

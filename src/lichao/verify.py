@@ -97,24 +97,24 @@ def run_verify(ops: list, c: int, *, include_zkw: bool = False,
     """Replay `ops` over universe [0, c-1] through every selected engine.
 
     The core tree always participates, built with `audited=True`; the
-    `include_*` engines join it, and the caller's [0, c-1] counts as a
-    static universe for zkw.  Raises WorkloadMismatchError when the ops
-    contain segments and any other engine is included.  Every
-    check runs on every call: routing dominance on each core insertion,
-    per-op visit bounds for every tree engine, the node-count bound on
-    full-line runs, the routed and midpoint audits at the end, and then the
-    batch query kernel of the core tree and of the forest's latest version,
-    called directly at up to `BATCH_POINTS` distinct query points of the
-    run, against the oracle's final state.  Returns a report; `ok` is True
-    iff every query matched the oracle exactly, no structural guard fired
-    and no kernel declined.
+    `include_*` engines join it.  Raises WorkloadMismatchError, before any
+    engine is built, when `lichao.bench.engine_mismatch` refuses an
+    included engine: segments on anything but the core tree, or zkw on a
+    universe above `ZKW_MAX_UNIVERSE`.  Every check runs on every call:
+    routing dominance on each core insertion, per-op visit bounds for
+    every tree engine, the node-count bound on full-line runs, the routed
+    and midpoint audits at the end, and then the batch query kernel of the
+    core tree and of the forest's latest version, called directly at up to
+    `BATCH_POINTS` distinct query points of the run, against the oracle's
+    final state.  Returns a report; `ok` is True iff every query matched
+    the oracle exactly, no structural guard fired and no kernel declined.
     """
     has_segments = any(op[0] == "S" for op in ops)
     engines = ["lict"]
     for name, wanted in (("zkw", include_zkw), ("cht", include_cht),
                          ("persistent", include_persistent)):
         if wanted:
-            why = engine_mismatch(name, True, has_segments)
+            why = engine_mismatch(name, c, has_segments)
             if why:
                 raise WorkloadMismatchError(why)
             engines.append(name)

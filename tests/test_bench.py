@@ -3,11 +3,12 @@ import math
 import pytest
 
 from lichao import Domain, LiChaoTree, LineContainer
-from lichao.bench import (ChecksumMismatchError, WorkloadMismatchError,
-                          Workload, append_csv, engine_mismatch,
-                          ensure_consistent, fold_answer, gen_hull_workload,
-                          gen_nc_workload, gen_random_workload, read_csv,
-                          run_benchmark, write_csv)
+from lichao.bench import (ZKW_MAX_UNIVERSE, ChecksumMismatchError,
+                          WorkloadMismatchError, Workload, append_csv,
+                          engine_mismatch, ensure_consistent, fold_answer,
+                          gen_hull_workload, gen_nc_workload,
+                          gen_random_workload, read_csv, run_benchmark,
+                          write_csv)
 
 
 def test_same_seed_same_ops():
@@ -50,7 +51,6 @@ def test_hull_workload_rejects_giant_sizes():
 def test_nc_random_domain_is_sized_by_n():
     wl = gen_nc_workload(10**5, "random", 42)
     assert wl.domain == Domain(-50_000, 50_000)
-    assert wl.nc
     for op in wl.ops:
         for v in op[1:]:
             assert -50_000 <= v <= 50_000
@@ -136,14 +136,16 @@ def test_zkw_requires_static_universe():
 
 
 def test_engine_mismatch_rules():
-    for static in (False, True):
-        assert engine_mismatch("lict", static, True) is None
+    for universe in (1, ZKW_MAX_UNIVERSE, ZKW_MAX_UNIVERSE + 1, 2**64):
+        assert engine_mismatch("lict", universe, True) is None
         for algo in ("cht", "persistent"):
-            assert engine_mismatch(algo, static, False) is None
+            assert engine_mismatch(algo, universe, False) is None
         for algo in ("zkw", "cht", "persistent"):
-            assert "segments" in engine_mismatch(algo, static, True)
-    assert engine_mismatch("zkw", True, False) is None
-    assert "static" in engine_mismatch("zkw", False, False)
+            assert "segments" in engine_mismatch(algo, universe, True)
+    assert engine_mismatch("zkw", 1, False) is None
+    assert engine_mismatch("zkw", ZKW_MAX_UNIVERSE, False) is None
+    why = engine_mismatch("zkw", ZKW_MAX_UNIVERSE + 1, False)
+    assert "up front" in why and "--nc" in why
 
 
 def test_segments_only_run_on_the_core_tree():

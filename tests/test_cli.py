@@ -5,7 +5,7 @@ import pytest
 import lichao.core
 from lichao import (LiChaoTree, PersistentForest, RoutingDominanceError,
                     ZkwTree)
-from lichao.bench import WorkloadMismatchError
+from lichao.bench import ZKW_MAX_UNIVERSE, WorkloadMismatchError
 from lichao.cli import main, parse_ops_file
 from lichao.verify import gen_verify_ops, run_verify
 
@@ -100,17 +100,38 @@ def test_replay_segments_need_the_core_tree(tmp_path, capsys):
     assert "segments" in err
 
 
-def test_replay_out_of_memory_is_a_runtime_error(tmp_path, capsys,
-                                                monkeypatch):
-    def no_memory(self, lo, size):
+def record_zkw_builds(monkeypatch):
+    """Record each ZkwTree construction in place of allocating its cells."""
+    builds = []
+
+    def record(self, lo, size):
+        builds.append(size)
         raise MemoryError
 
-    monkeypatch.setattr(ZkwTree, "__init__", no_memory)
+    monkeypatch.setattr(ZkwTree, "__init__", record)
+    return builds
+
+
+def test_replay_out_of_memory_is_a_runtime_error(tmp_path, capsys,
+                                                monkeypatch):
+    builds = record_zkw_builds(monkeypatch)
     path = write(tmp_path, "ops.txt", "A 1 0\nQ 5\n")
     code, out, err = run(capsys, "replay", "--file", path, "--algo", "zkw",
-                         "--domain", "0", "1000000000000")
+                         "--domain", "0", "1023")
     assert code == 1 and out == ""
     assert err.startswith("error: ")
+    assert builds == [1024]
+
+
+def test_replay_refuses_zkw_above_its_universe_cap(tmp_path, capsys,
+                                                  monkeypatch):
+    builds = record_zkw_builds(monkeypatch)
+    path = write(tmp_path, "ops.txt", "A 1 0\nQ 5\n")
+    code, out, err = run(capsys, "replay", "--file", path, "--algo", "zkw",
+                         "--domain", "0", "268435455")
+    assert code == 2 and out == ""
+    assert "zkw" in err
+    assert builds == []
 
 
 def test_replay_malformed_line_reports_lineno(tmp_path, capsys):
@@ -198,11 +219,29 @@ def test_verify_persistent(capsys):
     assert "(universe 4096, seed 42, engines lict+zkw+cht+persistent)" in out
 
 
-def test_verify_leaves_zkw_out_when_the_universe_outgrows_the_ops(capsys):
+def test_verify_leaves_zkw_out_above_its_universe_cap(capsys):
     code, out, _ = run(capsys, "verify", "--ops", "600", "--c", "1024",
                        "--seed", "4")
     assert code == 0
+    assert "engines lict+zkw+cht+persistent)" in out
+    code, out, _ = run(capsys, "verify", "--ops", "200", "--c",
+                       str(ZKW_MAX_UNIVERSE + 1), "--seed", "4")
+    assert code == 0
     assert "engines lict+cht+persistent)" in out
+
+
+def test_run_verify_refuses_zkw_above_its_universe_cap(monkeypatch):
+    builds = record_zkw_builds(monkeypatch)
+    ops = [("A", 1, 0), ("Q", 5)]
+    with pytest.raises(WorkloadMismatchError, match="zkw"):
+        run_verify(ops, 2**28, include_zkw=True)
+    assert builds == []
+
+
+def test_verify_negative_ops_is_usage_error(capsys):
+    code, out, err = run(capsys, "verify", "--ops", "-1")
+    assert code == 2 and out == ""
+    assert "--ops" in err
 
 
 def test_run_verify_refuses_engines_that_cannot_take_segments():
