@@ -72,11 +72,19 @@ CATALOGUE = [
      "                        self._assert_routing(ck, cb, k, b, m + 1, r)",
      None),
     # hull pruning keeps lines that no longer contribute
-    ("hull-isect-gt", BASELINE, "return x[2] >= y[2]",
-     "return x[2] > y[2]", None),
-    ("hull-cascade-gt", BASELINE,
-     "while i > 0 and sl[i - 1][2] >= sl[i][2]",
-     "while i > 0 and sl[i - 1][2] > sl[i][2]", None),
+    ("hull-prune-gt", BASELINE, "nxt is not None and p >= self._p[c][j]",
+     "nxt is not None and p > self._p[c][j]", None),
+    ("hull-cascade-gt", BASELINE, "P[prev[0]][prev[1]] >= P[b][i]",
+     "P[prev[0]][prev[1]] > P[b][i]", None),
+    # the hull's blocks: a stale last-threshold summary, a block that
+    # never splits, and the new line's cursor off by one across a split
+    ("hull-stale-last-threshold", BASELINE,
+     "        if i == len(self._p[b]) - 1:\n            self._lp[b] = p\n",
+     "", None),
+    ("hull-split-never", BASELINE, "if len(ks) > 2 * _LOAD:",
+     "if len(ks) > 2 * _LOAD + len(ks):", None),
+    ("hull-split-cursor-off-by-one", BASELINE, "if i >= half:",
+     "if i > half:", None),
     # the forest's size rule weighs the whole arena, not the version
     ("forest-size-whole-arena", PERSISTENT, "min(version, len(self._k))",
      "len(self._k)", None),

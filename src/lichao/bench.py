@@ -89,6 +89,22 @@ def fold_answer(h: int, v) -> int:
     return ((h ^ (v & _MASK64)) * _FNV_PRIME) & _MASK64
 
 
+def workload_domain(n: int, distribution: str, nc: bool) -> Domain:
+    """The domain the generators give a workload of n ops, so a caller can
+    size an engine before generating anything.
+
+    Free-range workloads span [-COORD_BOUND, COORD_BOUND]; static-universe
+    (`nc`) ones are sized by n: [-n//2, n//2] for random, [0, n] for hull.
+    """
+    if distribution not in ("random", "hull"):
+        raise ValueError(f"unknown distribution {distribution!r}")
+    if not nc:
+        return Domain(-COORD_BOUND, COORD_BOUND)
+    if distribution == "random":
+        return Domain(-(n // 2), n // 2)
+    return Domain(0, n)
+
+
 def gen_random_workload(n: int, seed: int, domain: Domain = None) -> Workload:
     """Uniform random lines and queries: n//2 inserts, then the queries.
 
@@ -100,7 +116,7 @@ def gen_random_workload(n: int, seed: int, domain: Domain = None) -> Workload:
     if n < 2:
         raise ValueError("workload needs at least 2 ops")
     if domain is None:
-        domain = Domain(-COORD_BOUND, COORD_BOUND)
+        domain = workload_domain(n, "random", nc=False)
     n_ins = n // 2
     n_q = n - n_ins
     rng = _rng(seed)
@@ -123,7 +139,7 @@ def gen_hull_workload(n: int, seed: int = 42) -> Workload:
     """
     if n < 2:
         raise ValueError("workload needs at least 2 ops")
-    domain = Domain(-COORD_BOUND, COORD_BOUND)
+    domain = workload_domain(n, "hull", nc=False)
     n_ins = n // 2
     n_q = n - n_ins
     _check_representable(-n_ins, n_ins * n_ins, domain.lo, domain.hi)
@@ -149,20 +165,17 @@ def gen_nc_workload(n: int, distribution: str, seed: int) -> Workload:
     """
     if n < 2:
         raise ValueError("workload needs at least 2 ops")
-    if distribution not in ("random", "hull"):
-        raise ValueError(f"unknown distribution {distribution!r}")
+    domain = workload_domain(n, distribution, nc=True)
     n_ins = n // 2
     n_q = n - n_ins
     rng = _rng(seed)
     if distribution == "random":
         half = n // 2
-        domain = Domain(-half, half)
         ks = rng.integers(-half, half + 1, size=n_ins).tolist()
         bs = rng.integers(-half, half + 1, size=n_ins).tolist()
         xs = rng.integers(-half, half + 1, size=n_q).tolist()
         ops = [("A", k, b) for k, b in zip(ks, bs)]
     else:
-        domain = Domain(0, n)
         _check_representable(-n_ins, n_ins * n_ins, domain.lo, domain.hi)
         order = rng.permutation(n_ins).tolist()
         xs = rng.integers(0, n + 1, size=n_q).tolist()

@@ -22,7 +22,7 @@ import sys
 from .bench import (ALGOS, ChecksumMismatchError, WorkloadMismatchError,
                     append_csv, engine_mismatch, gen_hull_workload,
                     gen_nc_workload, gen_random_workload, make_engine,
-                    run_benchmark)
+                    run_benchmark, workload_domain)
 from .core import (I64_MAX, I64_MIN, Domain, InvalidDomainError,
                    OutOfDomainError, _check_representable)
 from .verify import gen_verify_ops, run_verify
@@ -73,6 +73,10 @@ def cmd_bench(args) -> int:
     if args.n < 2 or args.reps < 1:
         print("error: need --n >= 2 and --reps >= 1", file=sys.stderr)
         return 2
+    why = engine_mismatch(
+        args.algo, workload_domain(args.n, args.dist, args.nc).size, False)
+    if why:
+        raise WorkloadMismatchError(why)
     if args.nc:
         workload = gen_nc_workload(args.n, args.dist, args.seed)
     elif args.dist == "random":

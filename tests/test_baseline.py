@@ -1,9 +1,15 @@
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from lichao import Domain, LiChaoTree, LineContainer, NaiveSet
+import lichao
+from lichao import Domain, LiChaoTree, LineContainer, NaiveSet, baseline
+from lichao.bench import gen_nc_workload, run_benchmark
 
 
 def filled(lines):
@@ -117,3 +123,67 @@ def test_query_overflow_guard():
     c = filled([(10**9, 10**9)])
     with pytest.raises(OverflowError):
         c.query(2**60)
+
+
+def _block_streams(rng):
+    # many equal slopes and ties; lines near a parabola, some just off the
+    # hull; wide random lines
+    yield [(int(k), int(b)) for k, b in zip(rng.integers(-8, 9, size=150),
+                                             rng.integers(-30, 31, size=150))]
+    near = [(-i, i * i + int(d))
+            for i, d in zip(range(-40, 40), rng.integers(0, 3, size=80))]
+    yield [near[i] for i in rng.permutation(len(near))]
+    yield [(int(k), int(b))
+           for k, b in zip(rng.integers(-2**40, 2**40, size=150),
+                           rng.integers(-2**60, 2**60, size=150))]
+
+
+def _assert_blocks(c, load):
+    assert all(c._k), "empty block"
+    assert all(len(ks) == len(ms) == len(ps) <= 2 * load
+               for ks, ms, ps in zip(c._k, c._m, c._p))
+    assert c._lk == [ks[-1] for ks in c._k]
+    assert c._lp == [ps[-1] for ps in c._p]
+    items = c.items()
+    for (k1, _, p1), (k2, _, p2) in zip(items, items[1:]):
+        assert p1 < p2 and k1 > k2
+
+
+@pytest.mark.parametrize("load", [1, 2, 3])
+def test_small_blocks_split_and_empty_across_boundaries(monkeypatch, load):
+    # blocks of at most 2 * load lines, so every stream crosses block
+    # boundaries, splits blocks and deletes emptied ones
+    monkeypatch.setattr(baseline, "_LOAD", load)
+    rng = np.random.default_rng(load)
+    for lines in _block_streams(rng):
+        c = LineContainer()
+        naive = NaiveSet()
+        blocks = 0
+        for ln in lines:
+            c.insert_line(ln)
+            naive.add_line(ln)
+            _assert_blocks(c, load)
+            blocks = max(blocks, len(c._k))
+            probes = {p + d for _, _, p in c.items()[:-1] for d in (-1, 0, 1)}
+            probes.update(int(x) for x in rng.integers(-200, 200, size=8))
+            for x in probes:
+                if abs(x) < 2**22:  # where every stream's values fit int64
+                    assert c.query(x) == naive.query(x)
+        assert blocks > 1
+
+
+def test_library_runs_without_sortedcontainers():
+    # a None entry in sys.modules makes any import of the package fail
+    script = ("import sys\n"
+              "sys.modules['sortedcontainers'] = None\n"
+              "import lichao\n"
+              "from lichao.bench import gen_nc_workload, run_benchmark\n"
+              "wl = gen_nc_workload(4000, 'hull', 7)\n"
+              "print(run_benchmark(wl, 'cht', 1).checksum)\n")
+    src = str(Path(lichao.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    lict = run_benchmark(gen_nc_workload(4000, "hull", 7), "lict", 1)
+    assert int(proc.stdout) == lict.checksum

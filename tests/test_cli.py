@@ -368,10 +368,17 @@ def test_bench_nc_zkw(capsys):
     assert "algo=zkw" in out
 
 
-def test_bench_zkw_without_nc_is_usage_error(capsys):
-    code, _, err = run(capsys, "bench", "--n", "512", "--algo", "zkw")
-    assert code == 2
-    assert "--nc" in err
+def test_bench_zkw_without_nc_is_usage_error(capsys, monkeypatch):
+    # refused before any op is generated
+    def no_generation(*args, **kwargs):
+        raise AssertionError("workload generated before the engine check")
+    for gen in ("gen_random_workload", "gen_hull_workload"):
+        monkeypatch.setattr(f"lichao.cli.{gen}", no_generation)
+    for dist in ("random", "hull"):
+        code, _, err = run(capsys, "bench", "--n", "1000000", "--dist", dist,
+                           "--algo", "zkw")
+        assert code == 2
+        assert "--nc" in err
 
 
 def test_bench_bad_flags(capsys):
