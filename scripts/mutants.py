@@ -16,8 +16,8 @@ copy and prints one JSON object per line:
 A last line sums the results.  The exit status is 1 when a mutant that is
 not equivalent survived or was not applied, else 0.  The repository itself
 is never modified.  A mutant that passes runs the whole quick suite, about
-20 s on 2 CPUs, and the catalogue about 2 min, so this script is not part
-of the Tier-1 suite.
+20 s on 2 CPUs, and the catalogue a few minutes, so this script is not
+part of the Tier-1 suite; CI runs it as its own `mutants` job.
 
     python scripts/mutants.py
 """
@@ -46,12 +46,10 @@ BENCH = "src/lichao/bench.py"
 # (name, file, old, new, reason it is equivalent or None)
 CATALOGUE = [
     # tie-breaks: they change which line a node stores, not the answers
-    ("core-lef-tie", CORE, "lef = k * l + b < ck * l + cb",
-     "lef = k * l + b <= ck * l + cb", None),
-    ("persistent-lef-tie", PERSISTENT, "lef = k * l + b < ck * l + cb",
-     "lef = k * l + b <= ck * l + cb", None),
-    ("zkw-midf-tie", ZKW, "midf = k * xm + b < ck * xm + cb",
-     "midf = k * xm + b <= ck * xm + cb", None),
+    ("core-lef-tie", CORE, "lef = dk * l < db", "lef = dk * l <= db", None),
+    ("persistent-lef-tie", PERSISTENT, "lef = dk * l < db",
+     "lef = dk * l <= db", None),
+    ("zkw-midf-tie", ZKW, "midf = dk * m < db", "midf = dk * m <= db", None),
     # the batch kernel
     ("kernel-dummy-intercept", CORE, "bb[-1] = I64_MAX\n",
      "bb[-1] = I64_MAX - 1\n", None),
@@ -62,6 +60,17 @@ CATALOGUE = [
     ("kernel-no-width-step", CORE, "        width -= right\n", "", None),
     ("kernel-declines", CORE,
      'if x.dtype.kind != "i" or x.ndim != 1:', "if True:", None),
+    # zkw's bottom-up kernel: an empty cell that lowers an I64_MAX answer,
+    # a walk that stops below the root, a kernel that always declines, and
+    # a query_many that never calls it
+    ("zkw-kernel-empty-intercept", ZKW, "[I64_MAX] * (2 * p)",
+     "[I64_MAX - 1] * (2 * p)", None),
+    ("zkw-kernel-skips-root", ZKW, "for _ in range(self._p.bit_length()):",
+     "for _ in range(self._p.bit_length() - 1):", None),
+    ("zkw-kernel-declines", ZKW, "x = _kernel_xs(xs, self.lo, self.hi)",
+     "x = None", None),
+    ("zkw-kernel-never-called", ZKW, "got = self._kernel(xs)", "got = None",
+     None),
     # the routing check of audited inserts, its two intervals swapped
     ("routing-intervals-swapped", CORE,
      "self._assert_routing(ck, cb, k, b, m + 1, r)\n"
@@ -106,8 +115,8 @@ CATALOGUE = [
      "lo = xl if xl >= d.lo else d.lo",
      "at xl == d.lo both arms give the same bound"),
     ("batch-size-rule-no-plus-one", CORE,
-     "len(xs) * (self.domain.depth_bound + 1) < size",
-     "len(xs) * self.domain.depth_bound < size",
+     "self.domain.depth_bound + 1, size)",
+     "self.domain.depth_bound, size)",
      "the rule only picks the kernel or the scalar loop, which give the "
      "same answers; only the speed of a run can change"),
 ]

@@ -25,11 +25,12 @@ multiplication and addition wrap modulo 2^64.  A node's line is
 representable over the node's interval (every line reaches a node only
 through an interval inside its range), so the true value of every
 evaluation lies in int64 and the wrapped result equals it.  The scalar
-loop answers instead when the run is short (fewer than `_BATCH_MIN` xs),
-when copying the nodes the root may reach would cost more than
-`len(xs) * (depth_bound + 1)` scalar steps, when a subclass overrides
-`query`, and when xs is not a 1-D integer array inside the domain (an
-out-of-domain x then raises from the scalar loop).
+loop answers instead when `_takes_kernel` says no: the run is short (fewer
+than `_BATCH_MIN` xs), copying the nodes or cells the kernel would read
+costs more than `len(xs)` paths of scalar steps, or a subclass overrides
+`query`; and when `_kernel_xs` declines xs that are not a 1-D integer
+array inside the domain (an out-of-domain x then raises from the scalar
+loop).  `ZkwTree.query_many` takes the same two helpers.
 
 Concurrency: mutation requires exclusive access (single writer).  Queries
 are read-only and may run concurrently with each other, but not with a
@@ -149,6 +150,32 @@ def audit_midpoint(nodes) -> list:
     return violations
 
 
+def _takes_kernel(obj, owner: type, n: int, levels: int,
+                  cells: int) -> bool:
+    """Whether `query_many` on `obj`, an instance of `owner`, sends its `n`
+    xs to a batch kernel that reads `cells` nodes or cells and `levels` of
+    them per x: not for a short run, not when copying the cells costs more
+    than walking `n` paths of `levels` scalar steps, and not for a subclass
+    that overrides `query`, so the two stay equal."""
+    return (n >= _BATCH_MIN and type(obj).query is owner.query
+            and n * levels >= cells)
+
+
+def _kernel_xs(xs, lo: int, hi: int) -> "Optional[np.ndarray]":
+    """`xs` as the int64 array a batch kernel reads, or None when xs is not
+    a 1-D integer array or an x lies outside [lo, hi]: the caller's scalar
+    loop then answers or raises."""
+    x = np.array(xs)
+    if not len(x):
+        return x.astype(np.int64)
+    if x.dtype.kind != "i" or x.ndim != 1:
+        return None
+    x = x.astype(np.int64, copy=False)
+    if x.min() < lo or x.max() > hi:
+        return None
+    return x
+
+
 def _walk_batch(K, B, Lc, Rc, root: int, lo: int, hi: int, xs,
                 neg: bool) -> "Optional[list]":
     """Envelope values at every x of `xs`, one tree level per step.
@@ -160,18 +187,14 @@ def _walk_batch(K, B, Lc, Rc, root: int, lo: int, hi: int, xs,
     arrays on every call and nothing is kept; the contract (module
     docstring) keeps [lo, hi], every k and b and every answer in int64.
     Returns the answers in the caller's orientation (`neg` negates them),
-    or None when xs is not a 1-D integer array or an x lies outside
-    [lo, hi]: the caller's scalar loop then answers or raises.
+    or None when `_kernel_xs` declines xs.
     """
-    x = np.array(xs)
+    x = _kernel_xs(xs, lo, hi)
+    if x is None:
+        return None
     n = len(x)
     if n == 0:
         return []
-    if x.dtype.kind != "i" or x.ndim != 1:
-        return None
-    x = x.astype(np.int64, copy=False)
-    if x.min() < lo or x.max() > hi:
-        return None
     if root == NIL:
         return [None] * n
     # one dummy node at index -1 == NIL: it holds (0, I64_MAX), which never
@@ -332,11 +355,11 @@ class _PointerArena:
     def _batch(self, owner: type, root: int, size: int,
                xs) -> "Optional[list]":
         """Kernel answers from `root`, or None when the `query` loop must
-        answer: a short run, a run small against the `size` nodes `root`
-        can reach, a subclass of `owner` overriding `query`, or xs that are
-        not integers inside the domain (module docstring)."""
-        if (len(xs) < _BATCH_MIN or type(self).query is not owner.query
-                or len(xs) * (self.domain.depth_bound + 1) < size):
+        answer: `_takes_kernel` weighs the `size` nodes `root` can reach,
+        and the kernel declines xs that are not integers inside the
+        domain (module docstring)."""
+        if not _takes_kernel(self, owner, len(xs),
+                             self.domain.depth_bound + 1, size):
             return None
         return self._kernel(root, xs)
 
@@ -435,8 +458,11 @@ class LiChaoTree(_PointerArena):
                 break
             cb = B[cur]
             m = (l + r) >> 1
-            lef = k * l + b < ck * l + cb
-            midf = k * m + b < ck * m + cb
+            # k*x + b < ck*x + cb exactly when (k - ck)*x < cb - b
+            dk = k - ck
+            db = cb - b
+            lef = dk * l < db
+            midf = dk * m < db
             if midf:
                 # incoming line wins at the midpoint: swap, resident loses
                 K[cur] = k

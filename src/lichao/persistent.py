@@ -78,8 +78,11 @@ class PersistentForest(_PointerArena):
         while cur != NIL:
             ck, cb = K[cur], B[cur]
             m = (l + r) >> 1
-            lef = k * l + b < ck * l + cb
-            midf = k * m + b < ck * m + cb
+            # k*x + b < ck*x + cb exactly when (k - ck)*x < cb - b
+            dk = k - ck
+            db = cb - b
+            lef = dk * l < db
+            midf = dk * m < db
             if midf:
                 k, b, ck, cb = ck, cb, k, b
             # (ck, cb) is the winner for the copy of `cur`, (k, b) the loser

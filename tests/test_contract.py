@@ -4,7 +4,9 @@ Domains sit where int64 runs out: offsets near +-2^62, single points
 anywhere in int64 and the full int64 range.  Lines are sized so that
 |k*x + b| reaches about 2^63 at the domain ends, some just past it.  Every
 tree engine must accept exactly the lines the contract allows and answer
-exactly what a brute force on Python ints gives, in both orientations.
+exactly what a brute force on Python ints gives, in both orientations,
+from the scalar query and from each batch kernel called directly (a
+decline, None, fails).
 """
 
 import functools
@@ -88,3 +90,12 @@ def test_engines_share_one_contract_at_the_int64_edges(orientation):
             assert f._kernel(f._roots[v], xs) == want
             if z is not None:
                 assert [z.query(x) for x in xs] == want
+                assert z._kernel(xs) == want
+                # one line reaching I64_MAX: every other cell on a path is
+                # empty and must not lower it
+                for k, b in [(0, I64_MAX), (1, I64_MAX - d.hi),
+                             (-1, I64_MAX + d.lo)]:
+                    if allowed(k, b, d, floor):
+                        z = ZkwTree(d.lo, d.size)
+                        z.insert_line((k, b))
+                        assert z._kernel(xs) == [k * x + b for x in xs]
