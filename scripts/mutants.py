@@ -100,6 +100,10 @@ CATALOGUE = [
     # the engine rule refuses zkw at its cap, not only above it
     ("zkw-cap-inclusive", BENCH, "universe > ZKW_MAX_UNIVERSE",
      "universe >= ZKW_MAX_UNIVERSE", None),
+    # the input boundary: a line or a query point used as the caller passed it
+    ("line-unconverted", CORE, "    k = index(k)\n    b = index(b)\n", "",
+     None),
+    ("point-unconverted", CORE, "        x = index(x)\n", "", None),
     # counters
     ("zkw-insert-visits-plus-one", ZKW,
      "self.last_visited = i.bit_length()",

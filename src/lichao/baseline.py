@@ -16,12 +16,14 @@ splits in two and an empty block is deleted, so there are at most
 
 Minimum orientation is exposed; internally the classical max-oriented hull
 runs on negated lines.  At most one line per slope is kept (the one with
-the better intercept), which never changes query answers.
+the better intercept), which never changes query answers.  k, b and x are
+converted on entry with `operator.index`, as in the trees.
 
 Single-threaded use only.
 """
 
 from bisect import bisect_left
+from operator import index
 from typing import Optional
 
 from .core import I64_MAX, I64_MIN
@@ -53,12 +55,15 @@ class LineContainer:
     def insert_line(self, line) -> None:
         """Insert a line; dominated lines are removed from the hull."""
         k, b = line
+        k = index(k)
+        b = index(b)
         if not (I64_MIN <= k <= I64_MAX and I64_MIN <= b <= I64_MAX):
             raise OverflowError(f"line ({k}, {b}) outside signed 64-bit range")
         self._add(-k, -b)
 
     def query(self, x: int) -> Optional[int]:
         """Envelope minimum at x, or None if the hull is empty."""
+        x = index(x)
         lp = self._lp
         if not lp:
             return None

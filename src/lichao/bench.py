@@ -27,7 +27,7 @@ from typing import Optional
 import numpy as np
 
 from .baseline import LineContainer
-from .core import Domain, LiChaoTree, _check_representable
+from .core import Domain, LiChaoTree, _checked_line
 from .zkw import ZkwTree
 
 COORD_BOUND = 10**9
@@ -142,7 +142,7 @@ def gen_hull_workload(n: int, seed: int = 42) -> Workload:
     domain = workload_domain(n, "hull", nc=False)
     n_ins = n // 2
     n_q = n - n_ins
-    _check_representable(-n_ins, n_ins * n_ins, domain.lo, domain.hi)
+    _checked_line((-n_ins, n_ins * n_ins), domain.lo, domain.hi)
     xs = _rng(seed).integers(domain.lo, domain.hi + 1, size=n_q).tolist()
     ops = []
     for i in range(n_ins):
@@ -176,7 +176,7 @@ def gen_nc_workload(n: int, distribution: str, seed: int) -> Workload:
         xs = rng.integers(-half, half + 1, size=n_q).tolist()
         ops = [("A", k, b) for k, b in zip(ks, bs)]
     else:
-        _check_representable(-n_ins, n_ins * n_ins, domain.lo, domain.hi)
+        _checked_line((-n_ins, n_ins * n_ins), domain.lo, domain.hi)
         order = rng.permutation(n_ins).tolist()
         xs = rng.integers(0, n + 1, size=n_q).tolist()
         ops = [("A", -(i + 1), (i + 1) * (i + 1)) for i in order]
@@ -336,23 +336,3 @@ def append_csv(result: BenchResult, path) -> None:
             w.writerow(CSV_FIELDS)
         w.writerow(_row(result))
 
-
-def read_csv(path) -> "list[BenchResult]":
-    """Parse a results CSV back into BenchResult records."""
-    out = []
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if tuple(reader.fieldnames or ()) != CSV_FIELDS:
-            raise ValueError(f"unexpected CSV header in {path}")
-        for row in reader:
-            out.append(BenchResult(
-                algo=row["algo"],
-                n=int(row["n"]),
-                distribution=row["distribution"],
-                insert_ms=float(row["insert_ms"]),
-                query_ms=float(row["query_ms"]),
-                total_ms=float(row["total_ms"]),
-                cv=float(row["cv"]),
-                checksum=int(row["checksum"]),
-            ))
-    return out

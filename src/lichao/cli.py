@@ -23,8 +23,7 @@ from .bench import (ALGOS, ChecksumMismatchError, WorkloadMismatchError,
                     append_csv, engine_mismatch, gen_hull_workload,
                     gen_nc_workload, gen_random_workload, make_engine,
                     run_benchmark, workload_domain)
-from .core import (I64_MAX, I64_MIN, Domain, InvalidDomainError,
-                   OutOfDomainError, _check_representable)
+from .core import I64_MAX, I64_MIN, Domain, InvalidDomainError, _checked_line
 from .verify import gen_verify_ops, run_verify
 
 
@@ -139,16 +138,11 @@ def cmd_replay(args) -> int:
     # so every --algo fails at the same op
     for op in ops:
         if op[0] == "A":
-            _check_representable(op[1], op[2], lo, hi)
-            engine.insert_line((op[1], op[2]))
+            engine.insert_line(_checked_line(op[1:], lo, hi))
         elif op[0] == "S":
             engine.insert_segment((op[1], op[2]), op[3], op[4])
         else:
-            x = op[1]
-            if x not in domain:
-                raise OutOfDomainError(
-                    f"x={x} outside domain [{domain.lo}, {domain.hi}]")
-            v = engine.query(x)
+            v = engine.query(domain.point(op[1]))
             print("INF" if v is None else v)
     return 0
 

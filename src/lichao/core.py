@@ -10,8 +10,10 @@ Coordinates, slopes and intercepts are integers; arithmetic is exact.  The
 contract: `Domain` bounds, and an inserted line's k, b and k*x + b over the
 domain (a segment: its clamped range), lie in int64, in [I64_MIN + 1,
 I64_MAX] for max orientation so the stored negated line fits; insertion
-checks it once (`_check_representable`).  Non-integer coordinates are not
-supported; callers needing precision eps prescale the domain by 1/eps.
+checks it once (`_checked_line`).  Each caller value is converted once, on
+entry, with `operator.index`, so a numpy integer computes as a Python int
+and a float raises TypeError; callers needing precision eps prescale the
+domain by 1/eps.
 
 The node arena and its reads from a root handle (scalar walk, pre-order
 traversal, batch dispatch) live once in `_PointerArena`, shared by
@@ -38,6 +40,7 @@ writer.  No internal synchronization is provided.
 """
 
 from dataclasses import dataclass
+from operator import index
 from typing import Iterator, NamedTuple, Optional
 
 import numpy as np
@@ -87,6 +90,8 @@ class Domain:
     hi: int
 
     def __post_init__(self):
+        object.__setattr__(self, "lo", index(self.lo))
+        object.__setattr__(self, "hi", index(self.hi))
         if not I64_MIN <= self.lo <= self.hi <= I64_MAX:
             raise InvalidDomainError(f"invalid domain [{self.lo}, {self.hi}]:"
                                      " need lo <= hi, both in int64")
@@ -101,25 +106,33 @@ class Domain:
         """Tree depth bound h = ceil(log2(C))."""
         return (self.size - 1).bit_length()
 
-    def __contains__(self, x: int) -> bool:
-        return self.lo <= x <= self.hi
+    def point(self, x) -> int:
+        """x as an int, after checking that it lies in [lo, hi]."""
+        x = index(x)
+        if x < self.lo or x > self.hi:
+            raise OutOfDomainError(
+                f"x={x} outside domain [{self.lo}, {self.hi}]")
+        return x
 
 
 @dataclass(frozen=True)
 class TreeStats:
-    node_count: int
     max_depth_observed: int
 
 
-def _check_representable(k: int, b: int, lo: int, hi: int,
-                         floor: int = I64_MIN) -> None:
-    """Raise OverflowError unless k, b and k*x + b on [lo, hi] lie in
-    [floor, I64_MAX]; k*x + b is monotone in x, so its endpoints suffice."""
+def _checked_line(line, lo: int, hi: int,
+                  floor: int = I64_MIN) -> "tuple[int, int]":
+    """(k, b) of `line` as ints; OverflowError unless k, b and k*x + b on
+    [lo, hi] lie in [floor, I64_MAX] (k*x + b is monotone: the ends do)."""
+    k, b = line
+    k = index(k)
+    b = index(b)
     if not (floor <= k <= I64_MAX >= b >= floor <= k * lo + b <= I64_MAX
             >= k * hi + b >= floor):
         raise OverflowError(
             f"line ({k}, {b}) gives {k * lo + b} at x={lo} and {k * hi + b} "
             f"at x={hi}: k, b and these must lie in [{floor}, {I64_MAX}]")
+    return k, b
 
 
 def audit_midpoint(nodes) -> list:
@@ -283,8 +296,7 @@ class _PointerArena:
         """(k, b) of `line` as stored, after checking it on [lo, hi] in the
         caller's orientation: max orientation accepts [I64_MIN + 1,
         I64_MAX], so the negated line it stores fits int64 too."""
-        k, b = line
-        _check_representable(k, b, lo, hi, I64_MIN + self._neg)
+        k, b = _checked_line(line, lo, hi, I64_MIN + self._neg)
         return (-k, -b) if self._neg else (k, b)
 
     def _walk(self, root: int, x: int) -> Optional[int]:
@@ -292,8 +304,7 @@ class _PointerArena:
         containing x and takes the best value among the stored lines
         encountered; None if no line covers x."""
         d = self.domain
-        if x < d.lo or x > d.hi:
-            raise OutOfDomainError(f"x={x} outside domain [{d.lo}, {d.hi}]")
+        x = d.point(x)
         K, B = self._k, self._b
         Lc, Rc = self._left, self._right
         cur = root
@@ -406,7 +417,7 @@ class LiChaoTree(_PointerArena):
         return len(self._k)
 
     def stats(self) -> TreeStats:
-        return TreeStats(len(self._k), self._max_depth)
+        return TreeStats(self._max_depth)
 
     def _alloc(self, k, b, depth: int) -> int:
         # a None slope makes a pass-through node
@@ -518,6 +529,8 @@ class LiChaoTree(_PointerArena):
         Raises OverflowError if the line is not 64-bit representable across
         the clamped range.
         """
+        xl = index(xl)
+        xr = index(xr)
         if xl > xr:
             raise InvalidSegmentError(f"segment bounds reversed: [{xl}, {xr}]")
         d = self.domain

@@ -23,13 +23,13 @@ Concurrency: single writer; concurrent readers are safe while no writer
 is active.
 """
 
+from operator import index
 from typing import Iterator, Optional
 
 import numpy as np
 
-from .core import (I64_MAX, Domain, Line, OutOfDomainError,
-                   _check_representable, _kernel_xs, _takes_kernel,
-                   audit_midpoint)
+from .core import (I64_MAX, Domain, Line, _checked_line, _kernel_xs,
+                   _takes_kernel, audit_midpoint)
 
 
 class ZkwTree:
@@ -42,7 +42,8 @@ class ZkwTree:
     """
 
     def __init__(self, lo: int, size: int):
-        Domain(lo, lo + size - 1)  # the core tree's rule: non-empty, int64
+        lo, size = index(lo), index(size)
+        self.domain = Domain(lo, lo + size - 1)  # non-empty, in int64
         p = 1 << (size - 1).bit_length() if size > 1 else 1
         self.lo = lo
         self.size = size
@@ -64,8 +65,7 @@ class ZkwTree:
 
     def insert_line(self, line) -> None:
         """Insert a full line; identical envelope semantics to the core tree."""
-        k, b = line
-        _check_representable(k, b, self.lo, self.hi)
+        k, b = _checked_line(line, self.lo, self.hi)
         K, B = self._k, self._b
         i = 1
         # cell i covers [l, r] in external coordinates, padding included
@@ -101,12 +101,9 @@ class ZkwTree:
 
     def query(self, x: int) -> Optional[int]:
         """Envelope value at x, or None; bottom-up walk from the leaf cell."""
-        pos = x - self.lo
-        if pos < 0 or pos >= self.size:
-            raise OutOfDomainError(
-                f"x={x} outside domain [{self.lo}, {self.hi}]")
+        x = self.domain.point(x)
         K, B = self._k, self._b
-        i = pos + self._p
+        i = x - self.lo + self._p
         best = None
         while i:
             ck = K[i]

@@ -1,14 +1,15 @@
+import csv
 import math
 
 import pytest
 
 from lichao import Domain, LiChaoTree, LineContainer
-from lichao.bench import (ZKW_MAX_UNIVERSE, ChecksumMismatchError,
-                          WorkloadMismatchError, Workload, append_csv,
-                          engine_mismatch, ensure_consistent, fold_answer,
-                          gen_hull_workload, gen_nc_workload,
-                          gen_random_workload, read_csv, run_benchmark,
-                          write_csv)
+from lichao.bench import (CSV_FIELDS, ZKW_MAX_UNIVERSE,
+                          ChecksumMismatchError, WorkloadMismatchError,
+                          Workload, append_csv, engine_mismatch,
+                          ensure_consistent, fold_answer, gen_hull_workload,
+                          gen_nc_workload, gen_random_workload,
+                          run_benchmark, write_csv)
 
 
 def test_same_seed_same_ops():
@@ -163,6 +164,19 @@ def test_fold_answer_handles_absent():
     assert fold_answer(h0, -1) != fold_answer(h0, 1)
 
 
+def csv_rows(path):
+    """The data rows of a results CSV, after checking its header."""
+    with open(path, newline="") as fh:
+        header, *rows = csv.reader(fh)
+    assert tuple(header) == CSV_FIELDS
+    return rows
+
+
+def row(result):
+    # floats are written with repr, which str equals
+    return [str(getattr(result, f)) for f in CSV_FIELDS]
+
+
 def test_csv_write_and_roundtrip(tmp_path):
     path = tmp_path / "out.csv"
     write_csv([], path)
@@ -174,7 +188,7 @@ def test_csv_write_and_roundtrip(tmp_path):
     assert len(path.read_text().strip().splitlines()) == 2
     write_csv(results, path)
     assert len(path.read_text().strip().splitlines()) == 3
-    assert read_csv(path) == results
+    assert csv_rows(path) == [row(r) for r in results]
 
 
 def test_csv_append_writes_header_once(tmp_path):
@@ -186,4 +200,4 @@ def test_csv_append_writes_header_once(tmp_path):
     lines = path.read_text().strip().splitlines()
     assert len(lines) == 3
     assert lines[0].startswith("n,distribution")
-    assert read_csv(path) == [r, r]
+    assert csv_rows(path) == [row(r), row(r)]

@@ -24,8 +24,7 @@ def test_new_tree_is_empty():
     t = LiChaoTree(Domain(0, 8))
     assert t.node_count == 0
     assert all(t.query(x) is None for x in range(0, 9))
-    s = t.stats()
-    assert (s.node_count, s.max_depth_observed) == (0, 0)
+    assert t.stats().max_depth_observed == 0
 
 
 def test_single_point_domain():
@@ -236,9 +235,8 @@ def test_stats_after_inserts():
     for _ in range(n):
         t.insert_line((int(rng.integers(-1000, 1001)),
                        int(rng.integers(-10**6, 10**6))))
-    s = t.stats()
-    assert s.node_count <= n
-    assert s.max_depth_observed <= 10  # ceil(log2(1024))
+    assert t.node_count <= n
+    assert t.stats().max_depth_observed <= 10  # ceil(log2(1024))
     # the running maximum is the deepest node's depth after every insert,
     # segments included
     t = LiChaoTree(Domain(0, 2**16 - 1))

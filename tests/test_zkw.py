@@ -242,8 +242,8 @@ def test_query_many_rejects_an_out_of_domain_x():
 
 
 def test_query_many_on_float_xs_follows_the_scalar_loop():
-    # a float x cannot index a cell: the scalar loop's TypeError, not an
-    # answer from the kernel
+    # a float x is rejected whatever its value: the scalar loop's
+    # TypeError, not an answer from the kernel
     z = random_tree(0, 16, 10, 4)
     for xs in ([float(x) for x in range(16)] * 10,
                np.arange(16.0).repeat(10)):
@@ -252,8 +252,8 @@ def test_query_many_on_float_xs_follows_the_scalar_loop():
             z.query(xs[0])
         with pytest.raises(TypeError):
             z.query_many(xs)
-    with pytest.raises(OutOfDomainError):
-        z.query_many([16.0] + [0.0] * 130)  # the first error wins
+    with pytest.raises(TypeError):
+        z.query_many([16.0] + [0.0] * 130)
 
 
 def test_query_many_follows_a_subclass_query():
