@@ -71,6 +71,12 @@ CATALOGUE = [
      "x = None", None),
     ("zkw-kernel-never-called", ZKW, "got = self._kernel(xs)", "got = None",
      None),
+    # the empty node: an empty line that ties an I64_MAX line instead of
+    # losing to it, and an empty loser that is routed on down the tree
+    ("empty-is-int64", CORE, "_EMPTY = 1 << 63", "_EMPTY = (1 << 63) - 1",
+     None),
+    ("empty-line-routed", CORE, "if l == r or midf and b == empty:",
+     "if l == r:", None),
     # the routing check of audited inserts, its two intervals swapped
     ("routing-intervals-swapped", CORE,
      "self._assert_routing(ck, cb, k, b, m + 1, r)\n"
@@ -111,9 +117,6 @@ CATALOGUE = [
     ("zkw-query-visits-plus-one", ZKW,
      "self.last_visited = self._p.bit_length()",
      "self.last_visited = self._p.bit_length() + 1", None),
-    ("core-left-child-depth-plus-one", CORE,
-     "Lc[cur] = self._alloc(k, b, depth + visits)",
-     "Lc[cur] = self._alloc(k, b, depth + visits + 1)", None),
     # equivalent mutants
     ("segment-clamp-ge", CORE, "lo = xl if xl > d.lo else d.lo",
      "lo = xl if xl >= d.lo else d.lo",

@@ -53,6 +53,11 @@ MAX = "max"
 
 NIL = -1
 
+# the intercept of the empty line (0, _EMPTY) that an empty node holds: one
+# above I64_MAX, so it loses to every in-contract line at every point and is
+# never an answer
+_EMPTY = 1 << 63
+
 # runs shorter than this are answered by the scalar loop: the kernel's
 # fixed cost (about 20 numpy calls per tree level) matched 128 to 256 scalar
 # queries on trees of 11 to 83 nodes over depth bounds 10 to 40
@@ -195,10 +200,10 @@ def _walk_batch(K, B, Lc, Rc, root: int, lo: int, hi: int, xs,
 
     `K`, `B`, `Lc`, `Rc` are the parallel arena lists of a tree whose node
     intervals split [l, r] at m = floor((l+r)/2), `root` the handle of its
-    root over [lo, hi].  A None slope marks a pass-through node that holds
-    no line; leaves have no children.  The arena is copied into numpy
-    arrays on every call and nothing is kept; the contract (module
-    docstring) keeps [lo, hi], every k and b and every answer in int64.
+    root over [lo, hi].  An empty node holds the line (0, _EMPTY); leaves
+    have no children.  The arena is copied into numpy arrays on every call
+    and nothing is kept; the contract (module docstring) keeps [lo, hi],
+    every k and b but _EMPTY and every answer in int64.
     Returns the answers in the caller's orientation (`neg` negates them),
     or None when `_kernel_xs` declines xs.
     """
@@ -218,19 +223,17 @@ def _walk_batch(K, B, Lc, Rc, root: int, lo: int, hi: int, xs,
     bb = np.empty(size, np.int64)
     kk[-1] = 0
     bb[-1] = I64_MAX
+    kk[:-1] = K
     has_line = None
     try:
-        kk[:-1] = K
-    except TypeError:
-        # pass-through nodes get the dummy's line; has_line marks where a
-        # lane really met a line
-        slopes = np.array(K, dtype=object)
-        has_line = np.append(np.not_equal(slopes, None), False)
-        slopes[~has_line[:-1]] = 0
-        kk[:-1] = slopes
-    bb[:-1] = B
-    if has_line is not None:
-        bb[~has_line] = I64_MAX
+        bb[:-1] = B
+    except OverflowError:
+        # _EMPTY does not fit int64: empty nodes get the dummy's intercept,
+        # and has_line marks where a lane really met a line
+        icepts = np.array(B, dtype=object)
+        has_line = np.append(icepts != _EMPTY, False)
+        icepts[~has_line[:-1]] = I64_MAX
+        bb[:-1] = icepts
     child = np.empty(2 * size, np.int64)  # child[2h] left, child[2h+1] right
     child[0:-2:2] = Lc
     child[1:-2:2] = Rc
@@ -273,7 +276,7 @@ def _walk_batch(K, B, Lc, Rc, root: int, lo: int, hi: int, xs,
 
 class _PointerArena:
     """Parallel node lists `_k`, `_b`, `_left`, `_right` indexed by handle
-    (NIL = no node; a None slope marks a pass-through node), and the reads
+    (NIL = no node; an empty node holds (0, _EMPTY)), and the reads
     that walk them from a root: `LiChaoTree` has one root,
     `PersistentForest` one per version.  A node's interval is implicit from
     [lo, hi] and the path taken; lines are stored min-oriented.
@@ -309,15 +312,13 @@ class _PointerArena:
         Lc, Rc = self._left, self._right
         cur = root
         l, r = d.lo, d.hi
-        best = None
+        empty = best = _EMPTY
         visits = 0
         while cur != NIL:
             visits += 1
-            ck = K[cur]
-            if ck is not None:
-                v = ck * x + B[cur]
-                if best is None or v < best:
-                    best = v
+            v = K[cur] * x + B[cur]
+            if v < best:
+                best = v
             if l == r:
                 break
             m = (l + r) >> 1
@@ -328,7 +329,7 @@ class _PointerArena:
                 cur = Rc[cur]
                 l = m + 1
         self.last_visited = visits
-        if best is None:
+        if best == empty:
             return None
         return -best if self._neg else best
 
@@ -336,7 +337,7 @@ class _PointerArena:
                ) -> Iterator["tuple[int, int, int, int, Optional[tuple]]"]:
         """Yield (handle, l, r, depth, line) for every node `root` reaches,
         in pre-order; `line` is the stored (k, b) in internal
-        (min-oriented) form, or None for a pass-through node."""
+        (min-oriented) form, or None for an empty node."""
         if root == NIL:
             return
         K, B = self._k, self._b
@@ -344,8 +345,8 @@ class _PointerArena:
         stack = [(root, self.domain.lo, self.domain.hi, 0)]
         while stack:
             h, l, r, depth = stack.pop()
-            ck = K[h]
-            yield h, l, r, depth, None if ck is None else (ck, B[h])
+            cb = B[h]
+            yield h, l, r, depth, None if cb == _EMPTY else (K[h], cb)
             if l < r:
                 m = (l + r) >> 1
                 if Rc[h] != NIL:
@@ -405,7 +406,6 @@ class LiChaoTree(_PointerArena):
                  audited: bool = False):
         super().__init__(domain, orientation)
         self._root = NIL
-        self._max_depth = 0
         # routing record (only when audited): per node, the lines routed
         # through it, flat as k, b, k, b, ...: kept (k, b) tuples would be
         # tracked by the garbage collector and trigger its passes, which
@@ -417,18 +417,17 @@ class LiChaoTree(_PointerArena):
         return len(self._k)
 
     def stats(self) -> TreeStats:
-        return TreeStats(self._max_depth)
+        return TreeStats(max((n[3] for n in self._nodes(self._root)),
+                             default=0))
 
-    def _alloc(self, k, b, depth: int) -> int:
-        # a None slope makes a pass-through node
+    def _alloc(self, k: int, b: int) -> int:
+        # (0, _EMPTY) makes an empty node
         self._k.append(k)
         self._b.append(b)
         self._left.append(NIL)
         self._right.append(NIL)
-        if depth > self._max_depth:
-            self._max_depth = depth
         if self._routed is not None:
-            self._routed.append([] if k is None else [k, b])
+            self._routed.append([] if b == _EMPTY else [k, b])
         return len(self._k) - 1
 
     def _assert_routing(self, wk, wb, lk, lb, a, c):
@@ -440,33 +439,21 @@ class LiChaoTree(_PointerArena):
                 f"on [{a}, {c}]"
             )
 
-    def _insert_descend(self, cur: int, l: int, r: int, depth: int,
-                        k: int, b: int) -> "tuple[int, int]":
-        """Route line (k, b) down from `cur`, a node at `depth` over [l, r].
-
-        Returns (handle, visits): `handle` is `cur`, or the handle of the
-        newly created node when `cur` was NIL.  At most one node is
-        allocated per call.  The `visits`-th node of the descent lies at
-        depth + visits - 1, so a child allocated below it lies at
-        depth + visits.
+    def _insert_descend(self, cur: int, l: int, r: int, k: int,
+                        b: int) -> int:
+        """Route line (k, b) down from `cur`, a node over [l, r]; returns
+        the number of nodes visited.  At most one node is allocated per
+        call.  An empty node takes the line by the ordinary swap, and the
+        descent stops once the loser is the empty line.
         """
-        if cur == NIL:
-            return self._alloc(k, b, depth), 1
         routed = self._routed
         K, B = self._k, self._b
         Lc, Rc = self._left, self._right
-        top = cur
+        empty = _EMPTY
         visits = 0
         while True:
             visits += 1
             ck = K[cur]
-            if ck is None:
-                # pass-through node from a segment decomposition: adopt
-                K[cur] = k
-                B[cur] = b
-                if routed is not None:
-                    routed[cur] += k, b
-                break
             cb = B[cur]
             m = (l + r) >> 1
             # k*x + b < ck*x + cb exactly when (k - ck)*x < cb - b
@@ -480,7 +467,7 @@ class LiChaoTree(_PointerArena):
                 B[cur] = b
                 k, b, ck, cb = ck, cb, k, b
             # invariant here: (ck, cb) is the stored winner, (k, b) the loser
-            if routed is not None:
+            if routed:  # audited: the record holds one entry per node
                 # the incoming line: the winner if it won the swap
                 routed[cur] += (ck, cb) if midf else (k, b)
                 if l < r:
@@ -488,25 +475,27 @@ class LiChaoTree(_PointerArena):
                         self._assert_routing(ck, cb, k, b, m + 1, r)
                     else:
                         self._assert_routing(ck, cb, k, b, l, m)
-            if l == r:
-                break  # single-coordinate leaf: the loser is dropped
+            if l == r or midf and b == empty:
+                # a single-coordinate leaf drops the loser; an empty line,
+                # a loser only when the swap displaced it, needs no place
+                break
             if lef != midf:
                 # crossing lies in [l, m]; loser continues left
                 nxt = Lc[cur]
                 r = m
                 if nxt == NIL:
-                    Lc[cur] = self._alloc(k, b, depth + visits)
+                    Lc[cur] = self._alloc(k, b)
                     visits += 1
                     break
             else:
                 nxt = Rc[cur]
                 l = m + 1
                 if nxt == NIL:
-                    Rc[cur] = self._alloc(k, b, depth + visits)
+                    Rc[cur] = self._alloc(k, b)
                     visits += 1
                     break
             cur = nxt
-        return top, visits
+        return visits
 
     def insert_line(self, line) -> None:
         """Insert a full line, lowering the envelope pointwise.
@@ -516,8 +505,9 @@ class LiChaoTree(_PointerArena):
         """
         d = self.domain
         k, b = self._min_form(line, d.lo, d.hi)
-        self._root, self.last_visited = self._insert_descend(
-            self._root, d.lo, d.hi, 0, k, b)
+        if self._root == NIL:
+            self._root = self._alloc(0, _EMPTY)
+        self.last_visited = self._insert_descend(self._root, d.lo, d.hi, k, b)
 
     def insert_segment(self, line, xl: int, xr: int) -> None:
         """Insert a line restricted to coordinates in [xl, xr].
@@ -525,7 +515,7 @@ class LiChaoTree(_PointerArena):
         The range is clamped to the domain; a fully disjoint segment is a
         no-op.  The covered range decomposes into O(log C) canonical node
         intervals, each receiving an independent line insertion; nodes
-        traversed on the way are materialized with absent lines as needed.
+        traversed on the way are allocated empty as needed.
         Raises OverflowError if the line is not 64-bit representable across
         the clamped range.
         """
@@ -544,23 +534,22 @@ class LiChaoTree(_PointerArena):
         Lc, Rc = self._left, self._right
         visits = 0
 
-        def seg(h: int, l: int, r: int, depth: int) -> int:
+        def seg(h: int, l: int, r: int) -> int:
             nonlocal visits
             if hi < l or r < lo:
                 return h
-            if lo <= l and r <= hi:
-                h, v = self._insert_descend(h, l, r, depth, k, b)
-                visits += v
-                return h
             if h == NIL:
-                h = self._alloc(None, 0, depth)
+                h = self._alloc(0, _EMPTY)
+            if lo <= l and r <= hi:
+                visits += self._insert_descend(h, l, r, k, b)
+                return h
             visits += 1
             m = (l + r) >> 1
-            Lc[h] = seg(Lc[h], l, m, depth + 1)
-            Rc[h] = seg(Rc[h], m + 1, r, depth + 1)
+            Lc[h] = seg(Lc[h], l, m)
+            Rc[h] = seg(Rc[h], m + 1, r)
             return h
 
-        self._root = seg(self._root, d.lo, d.hi, 0)
+        self._root = seg(self._root, d.lo, d.hi)
         self.last_visited = visits
 
     def query(self, x: int) -> Optional[int]:
@@ -583,7 +572,7 @@ class LiChaoTree(_PointerArena):
         """Yield (handle, l, r, depth, line) for every allocated node.
 
         `line` is the stored (k, b) in internal (min-oriented) form, None
-        for a pass-through node.  Pre-order.
+        for an empty node.  Pre-order.
         """
         return self._nodes(self._root)
 

@@ -7,9 +7,12 @@ against: it shares no code path with them, only the definition of the
 answer.
 
 O(N) per query, vectorized over the entry list; workloads are expected to
-stay small (<= ~10^4 entries).  Single-threaded use only.
+stay small (<= ~10^4 entries).  Coefficients, bounds and x are converted
+with `operator.index`, as the engines convert them, so a float raises
+TypeError.  Single-threaded use only.
 """
 
+from operator import index
 from typing import Optional
 
 import numpy as np
@@ -41,8 +44,8 @@ class NaiveSet:
                 grown = np.empty(2 * n, dtype=np.int64)
                 grown[:n] = old
                 setattr(self, name, grown)
-        self._ks[n] = k
-        self._bs[n] = b
+        self._ks[n] = index(k)
+        self._bs[n] = index(b)
         self._xls[n] = xl
         self._xrs[n] = xr
         self._n = n + 1
@@ -54,6 +57,8 @@ class NaiveSet:
 
     def add_segment(self, line, xl: int, xr: int) -> None:
         """Append a line valid only on [xl, xr]."""
+        xl = index(xl)
+        xr = index(xr)
         if xl > xr:
             raise InvalidSegmentError(f"segment bounds reversed: [{xl}, {xr}]")
         k, b = line
@@ -61,6 +66,7 @@ class NaiveSet:
 
     def query(self, x: int) -> Optional[int]:
         """Minimum over all entries covering x; None if none apply."""
+        x = index(x)
         n = self._n
         if n == 0:
             return None

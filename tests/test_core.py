@@ -7,6 +7,7 @@ from lichao import (Domain, I64_MAX, I64_MIN, InvalidDomainError,
                     InvalidSegmentError, LiChaoTree, Line, NaiveSet,
                     OutOfDomainError, PersistentForest, RoutingDominanceError,
                     ZkwTree)
+from lichao.core import NIL
 
 # four lines whose insertion exercises keep, route-left, route-right and a
 # displacement swap on the [0, 8] domain
@@ -237,8 +238,8 @@ def test_stats_after_inserts():
                        int(rng.integers(-10**6, 10**6))))
     assert t.node_count <= n
     assert t.stats().max_depth_observed <= 10  # ceil(log2(1024))
-    # the running maximum is the deepest node's depth after every insert,
-    # segments included
+    # the deepest node's depth after every insert, segments included,
+    # counted level by level over the child handles alone
     t = LiChaoTree(Domain(0, 2**16 - 1))
     for i in range(400):
         ln = (int(rng.integers(-50, 51)), int(rng.integers(-10**6, 10**6)))
@@ -246,8 +247,12 @@ def test_stats_after_inserts():
             t.insert_line(ln)
         else:
             t.insert_segment(ln, *sorted(rng.integers(0, 2**16, 2).tolist()))
-        assert t.stats().max_depth_observed == max(
-            depth for _h, _l, _r, depth, _ln in t.iter_nodes())
+        level, depth = [t._root], -1
+        while level:
+            depth += 1
+            level = [c for h in level for c in (t._left[h], t._right[h])
+                     if c != NIL]
+        assert t.stats().max_depth_observed == depth <= 16
 
 
 def test_visit_bounds_per_operation():
@@ -340,7 +345,7 @@ def test_query_many_across_segment_pass_through_nodes():
     t.insert_segment((0, -7), 5, 5)
     got = assert_batches_match(t, list(range(-40, 88)))
     assert None in got and -7 in got
-    assert t._k.count(None) > 0
+    assert t._b.count(1 << 63) > 0  # empty nodes
     t.insert_line((0, 10**6))
     assert None not in assert_batches_match(t, list(range(-40, 88)))
 
@@ -357,6 +362,34 @@ def test_query_many_max_orientation_spans_i64_min_plus_one_to_i64_max():
         mx.insert_line(ln)
     mx.insert_segment((0, 100), -3, 2)
     assert_batches_match(mx, list(range(-16, 17)) * 2)
+
+
+@pytest.mark.parametrize("orientation,edge", [
+    ("min", I64_MAX), ("min", I64_MIN), ("max", I64_MAX), ("max", -I64_MAX)])
+def test_int64_edge_answers_through_empty_nodes(orientation, edge):
+    # segments over part of the domain leave empty nodes on their paths; a
+    # line valued exactly at an int64 end must win each of them and be
+    # answered, never taken for the empty line
+    best = min if orientation == "min" else max
+    segments = [((1, 5), 100, 300), ((-2, 7), 700, 701)]
+    xs = list(range(1024))
+    for edge_first in (False, True):
+        t = LiChaoTree(Domain(0, 1023), orientation, audited=True)
+        if edge_first:
+            t.insert_line((0, edge))
+        for ln, xl, xr in segments:
+            t.insert_segment(ln, xl, xr)
+        if not edge_first:
+            assert t._b[t._root] == 1 << 63  # the root is an empty node
+            t.insert_segment((0, edge), 0, 127)  # [0, 127] is empty
+            t.insert_line((0, edge))
+        want = [best([edge] + [k * x + b for (k, b), xl, xr in segments
+                               if xl <= x <= xr]) for x in xs]
+        assert [t.query(x) for x in xs] == want
+        assert t.query_many(xs) == want
+        assert t._kernel(t._root, xs) == want
+        assert None not in want
+        assert t.audit_routed_optimality() == []
 
 
 def test_query_many_answers_i64_max_through_the_kernel():

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from lichao import InvalidSegmentError, NaiveSet
@@ -66,3 +67,20 @@ def test_full_width_segment_equals_line():
 def test_reversed_segment_rejected():
     with pytest.raises(InvalidSegmentError):
         NaiveSet().add_segment((1, 1), 5, 4)
+
+
+def test_floats_are_refused_as_every_engine_refuses_them():
+    s = NaiveSet()
+    for add in (lambda: s.add_line((1.5, 2)), lambda: s.add_line((1, 2.0)),
+                lambda: s.add_segment((1, 2), 0.5, 4),
+                lambda: s.add_segment((1, 2), 0, 4.9),
+                lambda: s.add_segment((1, 2.5), 0, 4)):
+        with pytest.raises(TypeError):
+            add()
+    assert len(s) == 0 and s.query(0) is None
+    s.add_line((np.int64(1), np.int32(2)))
+    s.add_segment((0, -9), np.int64(4), 4)
+    for x in (3.0, 3.7):
+        with pytest.raises(TypeError):
+            s.query(x)
+    assert [s.query(x) for x in (3, np.int64(4))] == [5, -9]
