@@ -42,6 +42,7 @@ ZKW = "src/lichao/zkw.py"
 PERSISTENT = "src/lichao/persistent.py"
 BASELINE = "src/lichao/baseline.py"
 BENCH = "src/lichao/bench.py"
+VERIFY = "src/lichao/verify.py"
 
 # (name, file, old, new, reason it is equivalent or None)
 CATALOGUE = [
@@ -117,13 +118,28 @@ CATALOGUE = [
     ("zkw-query-visits-plus-one", ZKW,
      "self.last_visited = self._p.bit_length()",
      "self.last_visited = self._p.bit_length() + 1", None),
+    # a leaf that allocates a child, which the scalar walk would step into
+    ("leaf-allocates", CORE, "if l == r or midf and b == empty:",
+     "if l > r or midf and b == empty:", None),
+    # run_verify's engine chain with one engine skipped, and a bound
+    # failure without its prefix
+    ("verify-skips-lict", VERIFY, 'engine, got = "lict", tree.query(x)',
+     'engine, got = "lict", expected', None),
+    ("verify-skips-zkw", VERIFY, "if got == expected and zkw is not None:",
+     "if False:", None),
+    ("verify-skips-cht", VERIFY, "if got == expected and cht is not None:",
+     "if False:", None),
+    ("verify-skips-persistent", VERIFY,
+     "if got == expected and forest is not None:", "if False:", None),
+    ("verify-bound-prefix-dropped", VERIFY, "ops[:bounds[0][0] + 1]", "ops",
+     None),
     # equivalent mutants
     ("segment-clamp-ge", CORE, "lo = xl if xl > d.lo else d.lo",
      "lo = xl if xl >= d.lo else d.lo",
      "at xl == d.lo both arms give the same bound"),
     ("batch-size-rule-no-plus-one", CORE,
-     "self.domain.depth_bound + 1, size)",
-     "self.domain.depth_bound, size)",
+     "self.domain.depth_bound + 1, len(self._k))",
+     "self.domain.depth_bound, len(self._k))",
      "the rule only picks the kernel or the scalar loop, which give the "
      "same answers; only the speed of a run can change"),
 ]

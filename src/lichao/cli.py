@@ -110,10 +110,9 @@ def cmd_verify(args) -> int:
               f"max_visits={report.max_line_visits}/{report.max_seg_visits}")
         return 0
     print(f"FAIL: {report.failure}", file=sys.stderr)
-    if report.failing_prefix is not None:
-        print("minimal failing prefix:", file=sys.stderr)
-        for op in report.failing_prefix:
-            print(format_op(op), file=sys.stderr)
+    print("minimal failing prefix:", file=sys.stderr)
+    for op in report.failing_prefix:
+        print(format_op(op), file=sys.stderr)
     return 1
 
 

@@ -16,7 +16,7 @@ and a float raises TypeError; callers needing precision eps prescale the
 domain by 1/eps.
 
 The node arena and its reads from a root handle (scalar walk, pre-order
-traversal, batch dispatch) live once in `_PointerArena`, shared by
+traversal, kernel entry) live once in `_PointerArena`, shared by
 `LiChaoTree` and `PersistentForest` (one root per version).
 
 Batch queries.  `LiChaoTree.query_many(xs)` equals
@@ -319,8 +319,7 @@ class _PointerArena:
             v = K[cur] * x + B[cur]
             if v < best:
                 best = v
-            if l == r:
-                break
+            # a leaf has NIL children, so the walk leaves it through one
             m = (l + r) >> 1
             if x <= m:
                 cur = Lc[cur]
@@ -359,21 +358,10 @@ class _PointerArena:
         return self._k, self._b, self._left, self._right, root
 
     def _kernel(self, root: int, xs) -> "Optional[list]":
-        """`_walk_batch` from `root`: the kernel's one entry, for `_batch`
-        and for `run_verify`, which fails a decline (None)."""
+        """`_walk_batch` from `root`: the kernel's one entry, for
+        `query_many` and for `run_verify`, which fails a decline (None)."""
         d = self.domain
         return _walk_batch(*self._arena(root), d.lo, d.hi, xs, self._neg)
-
-    def _batch(self, owner: type, root: int, size: int,
-               xs) -> "Optional[list]":
-        """Kernel answers from `root`, or None when the `query` loop must
-        answer: `_takes_kernel` weighs the `size` nodes `root` can reach,
-        and the kernel declines xs that are not integers inside the
-        domain (module docstring)."""
-        if not _takes_kernel(self, owner, len(xs),
-                             self.domain.depth_bound + 1, size):
-            return None
-        return self._kernel(root, xs)
 
 
 class LiChaoTree(_PointerArena):
@@ -565,7 +553,10 @@ class LiChaoTree(_PointerArena):
         not integers inside the domain take the scalar loop (module
         docstring).  The kernel path leaves `last_visited` as it was.
         """
-        got = self._batch(LiChaoTree, self._root, len(self._k), xs)
+        got = None
+        if _takes_kernel(self, LiChaoTree, len(xs),
+                         self.domain.depth_bound + 1, len(self._k)):
+            got = self._kernel(self._root, xs)
         return list(map(self.query, xs)) if got is None else got
 
     def iter_nodes(self) -> Iterator["tuple[int, int, int, int, Optional[tuple]]"]:

@@ -9,7 +9,10 @@ answer.
 O(N) per query, vectorized over the entry list; workloads are expected to
 stay small (<= ~10^4 entries).  Coefficients, bounds and x are converted
 with `operator.index`, as the engines convert them, so a float raises
-TypeError.  Single-threaded use only.
+TypeError.  Values are computed in int64, which is exact only for lines
+inside the engines' contract (`lichao.core`): the oracle checks nothing
+and wraps silently on a line outside it.  `run_verify` adds a line only
+after the core tree has accepted it.  Single-threaded use only.
 """
 
 from operator import index

@@ -10,7 +10,7 @@ Only full-line insertion is persistent; a persistent segment insertion
 would copy O(log^2 C) nodes per operation and is out of scope.
 
 The node arena, the insert-time contract check (`_min_form`), the scalar
-query walk, the node traversal and the batch dispatch are shared with
+query walk, the node traversal and the kernel entry are shared with
 `LiChaoTree` through `lichao.core._PointerArena`; this module keeps the
 versions and the path-copying insert.  `query_many(version, xs)` equals
 `[query(version, x) for x in xs]`.  The kernel gets only the nodes the
@@ -26,7 +26,7 @@ only after all of its nodes have been written.
 
 from typing import Optional
 
-from .core import MIN, NIL, Domain, _PointerArena
+from .core import MIN, NIL, Domain, _PointerArena, _takes_kernel
 
 
 class UnknownVersionError(ValueError):
@@ -123,8 +123,11 @@ class PersistentForest(_PointerArena):
         raises UnknownVersionError for a bad version even when `xs` is
         empty."""
         self._check_version(version)
-        got = self._batch(PersistentForest, self._roots[version],
-                          min(version, len(self._k)), xs)
+        got = None
+        if _takes_kernel(self, PersistentForest, len(xs),
+                         self.domain.depth_bound + 1,
+                         min(version, len(self._k))):
+            got = self._kernel(self._roots[version], xs)
         if got is None:
             q = self.query
             got = [q(version, x) for x in xs]

@@ -12,11 +12,14 @@ The core tree always runs; zkw, cht and the persistent forest join on
 request if `lichao.bench.engine_mismatch` allows them the op stream, and
 the report names the engines that ran.
 
-On a mismatch the minimal failing prefix is the op list truncated right
-after the first divergent query (all earlier queries matched, so no
-shorter prefix can fail); a routing-dominance violation truncates it after
-the insertion that raised.  A batch-kernel mismatch or decline names the
-whole op list, since only the final state was queried.
+Every failure carries a replayable prefix of the op list, written by
+`_fail` alone.  On a mismatch it is the minimal failing prefix: the op list
+truncated right after the first divergent query (all earlier queries
+matched, so no shorter prefix can fail).  A routing-dominance violation
+truncates it after the insertion that raised, and a bound violation after
+the op of the first violation.  An audit failure and a batch-kernel
+mismatch or decline name the whole op list, since they check the final
+state.
 """
 
 from dataclasses import dataclass, field
@@ -84,6 +87,8 @@ class VerifyReport:
     tree_max_depth: int = 0
     max_line_visits: int = 0
     max_seg_visits: int = 0
+    # set together by `_fail`: every report with ok=False has a failure and
+    # a failing prefix; a wrong answer also sets the divergence
     failure: Optional[str] = None
     divergence: Optional[tuple] = None  # (op_index, x, expected, engine, got)
     failing_prefix: Optional[list] = None
@@ -108,6 +113,8 @@ def run_verify(ops: list, c: int, *, include_zkw: bool = False,
     `BATCH_POINTS` distinct query points of the run, against the oracle's
     final state.  Returns a report; `ok` is True iff every query matched
     the oracle exactly, no structural guard fired and no kernel declined.
+    A query is checked against the engines in the order lict, zkw, cht,
+    persistent, up to the first wrong answer.
     """
     has_segments = any(op[0] == "S" for op in ops)
     engines = ["lict"]
@@ -133,102 +140,80 @@ def run_verify(ops: list, c: int, *, include_zkw: bool = False,
     latest = 0
 
     report = VerifyReport(ok=True, ops_total=len(ops), engines=tuple(engines))
+    bounds = report.bound_violations
 
-    for idx, op in enumerate(ops):
-        tag = op[0]
-        if tag == "A":
-            line = (op[1], op[2])
-            try:
+    try:
+        for idx, op in enumerate(ops):
+            tag = op[0]
+            if tag == "A":
+                line = (op[1], op[2])
                 tree.insert_line(line)
-            except RoutingDominanceError as err:
-                _routing_failure(report, ops, idx, err)
-                break
-            naive.add_line(line)
-            report.line_inserts += 1
-            if tree.last_visited > line_limit:
-                report.bound_violations.append(
-                    (idx, "lict-insert-visits", tree.last_visited,
-                     line_limit))
-            if report.seg_inserts == 0 and \
-                    tree.node_count > report.line_inserts:
-                report.bound_violations.append(
-                    (idx, "lict-node-count", tree.node_count,
-                     report.line_inserts))
-            if report.max_line_visits < tree.last_visited:
-                report.max_line_visits = tree.last_visited
-            if zkw is not None:
-                zkw.insert_line(line)
-                if zkw.last_visited > line_limit:
-                    report.bound_violations.append(
-                        (idx, "zkw-insert-visits", zkw.last_visited,
-                         line_limit))
-            if cht is not None:
-                cht.insert_line(line)
-            if forest is not None:
-                latest = forest.insert(latest, line)
-                if forest.last_appended > line_limit:
-                    report.bound_violations.append(
-                        (idx, "persistent-appended", forest.last_appended,
-                         line_limit))
-        elif tag == "S":
-            line = (op[1], op[2])
-            try:
+                naive.add_line(line)
+                report.line_inserts += 1
+                if tree.last_visited > line_limit:
+                    bounds.append((idx, "lict-insert-visits",
+                                   tree.last_visited, line_limit))
+                if report.seg_inserts == 0 and \
+                        tree.node_count > report.line_inserts:
+                    bounds.append((idx, "lict-node-count", tree.node_count,
+                                   report.line_inserts))
+                if report.max_line_visits < tree.last_visited:
+                    report.max_line_visits = tree.last_visited
+                if zkw is not None:
+                    zkw.insert_line(line)
+                    if zkw.last_visited > line_limit:
+                        bounds.append((idx, "zkw-insert-visits",
+                                       zkw.last_visited, line_limit))
+                if cht is not None:
+                    cht.insert_line(line)
+                if forest is not None:
+                    latest = forest.insert(latest, line)
+                    if forest.last_appended > line_limit:
+                        bounds.append((idx, "persistent-appended",
+                                       forest.last_appended, line_limit))
+            elif tag == "S":
+                line = (op[1], op[2])
                 tree.insert_segment(line, op[3], op[4])
-            except RoutingDominanceError as err:
-                _routing_failure(report, ops, idx, err)
-                break
-            naive.add_segment(line, op[3], op[4])
-            report.seg_inserts += 1
-            if tree.last_visited > seg_limit:
-                report.bound_violations.append(
-                    (idx, "lict-segment-visits", tree.last_visited,
-                     seg_limit))
-            if report.max_seg_visits < tree.last_visited:
-                report.max_seg_visits = tree.last_visited
-        else:
-            x = op[1]
-            expected = naive.query(x)
-            report.queries_checked += 1
-            got = tree.query(x)
-            if tree.last_visited > line_limit:
-                report.bound_violations.append(
-                    (idx, "lict-query-visits", tree.last_visited, line_limit))
-            diverged = None
-            if got != expected:
-                diverged = ("lict", got)
-            if diverged is None and zkw is not None:
-                got_z = zkw.query(x)
-                if zkw.last_visited > line_limit:
-                    report.bound_violations.append(
-                        (idx, "zkw-query-visits", zkw.last_visited,
-                         line_limit))
-                if got_z != expected:
-                    diverged = ("zkw", got_z)
-            if diverged is None and cht is not None:
-                got_c = cht.query(x)
-                if got_c != expected:
-                    diverged = ("cht", got_c)
-            if diverged is None and forest is not None:
-                got_p = forest.query(latest, x)
-                if got_p != expected:
-                    diverged = ("persistent", got_p)
-            if diverged is not None:
-                engine, got_val = diverged
-                report.ok = False
-                report.divergence = (idx, x, expected, engine, got_val)
-                report.failing_prefix = list(ops[:idx + 1])
-                report.failure = (
-                    f"op {idx}: query({x}) expected {expected}, "
-                    f"{engine} answered {got_val}")
-                break
+                naive.add_segment(line, op[3], op[4])
+                report.seg_inserts += 1
+                if tree.last_visited > seg_limit:
+                    bounds.append((idx, "lict-segment-visits",
+                                   tree.last_visited, seg_limit))
+                if report.max_seg_visits < tree.last_visited:
+                    report.max_seg_visits = tree.last_visited
+            else:
+                x = op[1]
+                expected = naive.query(x)
+                report.queries_checked += 1
+                engine, got = "lict", tree.query(x)
+                if tree.last_visited > line_limit:
+                    bounds.append((idx, "lict-query-visits",
+                                   tree.last_visited, line_limit))
+                if got == expected and zkw is not None:
+                    engine, got = "zkw", zkw.query(x)
+                    if zkw.last_visited > line_limit:
+                        bounds.append((idx, "zkw-query-visits",
+                                       zkw.last_visited, line_limit))
+                if got == expected and cht is not None:
+                    engine, got = "cht", cht.query(x)
+                if got == expected and forest is not None:
+                    engine, got = "persistent", forest.query(latest, x)
+                if got != expected:
+                    _fail(report, ops[:idx + 1],
+                          f"op {idx}: query({x}) expected {expected}, "
+                          f"{engine} answered {got}",
+                          (idx, x, expected, engine, got))
+                    break
+    except RoutingDominanceError as err:
+        _fail(report, ops[:idx + 1],
+              f"op {idx}: lict routing dominance violated: {err}")
 
     report.tree_nodes = tree.node_count
     report.tree_max_depth = tree.stats().max_depth_observed
-    if report.ok and report.bound_violations:
-        report.ok = False
-        report.failure = (
-            f"{len(report.bound_violations)} structural bound violation(s), "
-            f"first: {report.bound_violations[0]}")
+    if report.ok and bounds:
+        _fail(report, ops[:bounds[0][0] + 1],
+              f"{len(bounds)} structural bound violation(s), "
+              f"first: {bounds[0]}")
     if report.ok:
         # The subtree form of the audit is equivalent to the routed-through
         # invariant only when every line competed from the root, i.e. for
@@ -239,21 +224,22 @@ def run_verify(ops: list, c: int, *, include_zkw: bool = False,
         if zkw is not None:
             violations += zkw.audit_midpoint_optimality()
         if violations:
-            report.ok = False
             report.audit_violations = len(violations)
-            report.failure = (
-                f"midpoint-optimality audit failed at {len(violations)} "
-                f"node(s), first: {violations[0]}")
+            _fail(report, ops,
+                  f"midpoint-optimality audit failed at {len(violations)} "
+                  f"node(s), first: {violations[0]}")
     if report.ok:
         _check_batch(report, ops, naive, tree, forest, latest)
     return report
 
 
-def _routing_failure(report: VerifyReport, ops: list, idx: int,
-                     err: RoutingDominanceError) -> None:
+def _fail(report: VerifyReport, prefix: list, failure: str,
+          divergence: Optional[tuple] = None) -> None:
+    """Mark `report` failed: the one writer of its failure fields."""
     report.ok = False
-    report.failure = f"op {idx}: lict routing dominance violated: {err}"
-    report.failing_prefix = list(ops[:idx + 1])
+    report.failure = failure
+    report.failing_prefix = list(prefix)
+    report.divergence = divergence
 
 
 def _check_batch(report: VerifyReport, ops: list, naive: NaiveSet,
@@ -281,17 +267,13 @@ def _check_batch(report: VerifyReport, ops: list, naive: NaiveSet,
                         forest._kernel(forest._roots[latest], xs)))
     for engine, got in batches:
         if got is None:
-            report.ok = False
-            report.failing_prefix = list(ops)
-            report.failure = (f"final state: {engine} kernel declined "
-                              f"{len(xs)} in-domain query points")
+            _fail(report, ops, f"final state: {engine} kernel declined "
+                               f"{len(xs)} in-domain query points")
             return
         for x, want, have in zip(xs, expected, got):
             if have != want:
-                report.ok = False
-                report.divergence = (len(ops) - 1, x, want, engine, have)
-                report.failing_prefix = list(ops)
-                report.failure = (
-                    f"final state: query({x}) expected {want}, "
-                    f"{engine} answered {have}")
+                _fail(report, ops,
+                      f"final state: query({x}) expected {want}, "
+                      f"{engine} answered {have}",
+                      (len(ops) - 1, x, want, engine, have))
                 return

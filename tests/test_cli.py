@@ -3,8 +3,8 @@ import re
 import pytest
 
 import lichao.core
-from lichao import (LiChaoTree, PersistentForest, RoutingDominanceError,
-                    ZkwTree)
+from lichao import (LiChaoTree, LineContainer, PersistentForest,
+                    RoutingDominanceError, ZkwTree)
 from lichao.bench import ZKW_MAX_UNIVERSE, WorkloadMismatchError
 from lichao.cli import main, parse_ops_file
 from lichao.verify import gen_verify_ops, run_verify
@@ -320,6 +320,72 @@ def test_verify_fails_a_kernel_that_declines(monkeypatch, capsys):
     code, out, err = run(capsys, "verify", "--ops", "2000", "--c", "512")
     assert code == 1 and out == ""
     assert "lict-batch kernel declined" in err
+
+
+def test_verify_prefixes_a_bound_failure(monkeypatch, capsys):
+    # the prefix ends at the op of the first violation
+    orig = ZkwTree.insert_line
+
+    def one_visit_too_many(self, line):
+        orig(self, line)
+        self.last_visited += 1
+
+    monkeypatch.setattr(ZkwTree, "insert_line", one_visit_too_many)
+    ops = gen_verify_ops(300, 64, 1)
+    report = run_verify(ops, 64, include_zkw=True)
+    assert not report.ok
+    first = report.bound_violations[0]
+    assert first[1] == "zkw-insert-visits"
+    assert report.failing_prefix == ops[:first[0] + 1]
+    code, out, err = run(capsys, "verify", "--ops", "300", "--c", "64",
+                         "--seed", "1")
+    assert code == 1 and out == ""
+    lines = err.splitlines()
+    assert lines[0].startswith("FAIL: ")
+    assert "structural bound violation" in lines[0]
+    assert lines[1] == "minimal failing prefix:"
+    assert len(lines) == 2 + first[0] + 1
+
+
+def test_verify_prefixes_an_audit_failure(monkeypatch):
+    # a stored line made worse than one routed through its node; the audit
+    # checks the final state, so the prefix is the whole op list
+    orig = LiChaoTree.audit_routed_optimality
+
+    def worse_root(self):
+        self._b[self._root] += 1
+        return orig(self)
+
+    monkeypatch.setattr(LiChaoTree, "audit_routed_optimality", worse_root)
+    ops = gen_verify_ops(300, 64, 1)
+    report = run_verify(ops, 64)
+    assert not report.ok
+    assert report.failure.startswith("midpoint-optimality audit failed")
+    assert report.audit_violations > 0
+    assert report.failing_prefix == ops
+
+
+@pytest.mark.parametrize("cls,engine", [(LiChaoTree, "lict"),
+                                        (ZkwTree, "zkw"),
+                                        (LineContainer, "cht"),
+                                        (PersistentForest, "persistent")])
+def test_verify_checks_every_engine_on_each_query(monkeypatch, cls, engine):
+    orig = cls.query
+
+    def plus_one(self, *args):
+        v = orig(self, *args)
+        return 1 if v is None else v + 1
+
+    monkeypatch.setattr(cls, "query", plus_one)
+    ops = gen_verify_ops(300, 64, 1)
+    report = run_verify(ops, 64, include_zkw=True, include_cht=True,
+                        include_persistent=True)
+    assert not report.ok
+    first_query = next(i for i, op in enumerate(ops) if op[0] == "Q")
+    assert report.divergence[0] == first_query
+    assert report.divergence[3] == engine
+    assert f"{engine} answered" in report.failure
+    assert report.failing_prefix == ops[:first_query + 1]
 
 
 def test_verify_zero_ops_vacuously_passes(capsys):

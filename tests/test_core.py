@@ -253,6 +253,10 @@ def test_stats_after_inserts():
             level = [c for h in level for c in (t._left[h], t._right[h])
                      if c != NIL]
         assert t.stats().max_depth_observed == depth <= 16
+    # a leaf never gets a child, so a walk leaves it through a NIL one
+    for h, l, r, _depth, _line in t.iter_nodes():
+        if l == r:
+            assert t._left[h] == t._right[h] == NIL
 
 
 def test_visit_bounds_per_operation():
