@@ -43,6 +43,7 @@ PERSISTENT = "src/lichao/persistent.py"
 BASELINE = "src/lichao/baseline.py"
 BENCH = "src/lichao/bench.py"
 VERIFY = "src/lichao/verify.py"
+ORACLE = "src/lichao/oracle.py"
 
 # (name, file, old, new, reason it is equivalent or None)
 CATALOGUE = [
@@ -102,11 +103,18 @@ CATALOGUE = [
     ("hull-split-cursor-off-by-one", BASELINE, "if i >= half:",
      "if i > half:", None),
     # the forest's size rule weighs the whole arena, not the version
-    ("forest-size-whole-arena", PERSISTENT, "min(version, len(self._k))",
-     "len(self._k)", None),
+    ("forest-size-whole-arena", PERSISTENT,
+     "self.domain.depth_bound + 1, version)",
+     "self.domain.depth_bound + 1, len(self._k))", None),
     # the engine rule refuses zkw at its cap, not only above it
     ("zkw-cap-inclusive", BENCH, "universe > ZKW_MAX_UNIVERSE",
      "universe >= ZKW_MAX_UNIVERSE", None),
+    # the benchmark's checksum without the answers of a query run
+    ("bench-fold-skipped", BENCH, "h = reduce(fold_answer, got, h)",
+     "h = h", None),
+    # the oracle's values past int64 left to wrap
+    ("oracle-exact-never", ORACLE,
+     "if self._kmax * abs(x) + self._bmax > I64_MAX:", "if False:", None),
     # the input boundary: a line or a query point used as the caller passed it
     ("line-unconverted", CORE, "    k = index(k)\n    b = index(b)\n", "",
      None),

@@ -4,17 +4,19 @@
 Times every algorithm that `lichao.bench.engine_mismatch` allows on the
 random and all-on-hull workloads, both in the free-range regime and in the
 static-universe regime where the coordinate range is sized by the op count,
-cross-checks the answer checksums, prints a table and writes a CSV.
+cross-checks the answer checksums, prints a table and writes a fresh CSV
+(any file already at --csv is replaced).
 
 Defaults are sized for a laptop run of a few minutes; pass larger --sizes
 / --nc-sizes to push further.
 """
 
 import argparse
+from pathlib import Path
 
-from lichao.bench import (ALGOS, engine_mismatch, ensure_consistent,
-                          gen_hull_workload, gen_nc_workload,
-                          gen_random_workload, run_benchmark, write_csv)
+from lichao.bench import (ALGOS, append_csv, engine_mismatch,
+                          ensure_consistent, gen_hull_workload,
+                          gen_nc_workload, gen_random_workload, run_benchmark)
 
 HEADER = (f"{'n':>9} {'regime':>7} {'dist':>7} {'algo':>5} "
           f"{'insert_ms':>11} {'query_ms':>10} {'total_ms':>10} {'cv':>7}")
@@ -59,7 +61,8 @@ def main():
         for r in group:
             show(r, regime)
         results += group
-    write_csv(results, args.csv)
+    Path(args.csv).unlink(missing_ok=True)
+    append_csv(results, args.csv)
     print(f"\n{len(results)} rows written to {args.csv}")
 
 

@@ -7,10 +7,11 @@ generator documents the order in which it consumes the stream, so results
 are reproducible on a given numpy version.  Distribution notation U(a, b)
 is realized as uniform integers on the inclusive range [a, b].
 
-The runner replays an op list on a fresh structure per repetition, timing
-insert and query phases separately (generation is never inside a timed
-region), and folds every query answer into a 64-bit checksum.  Equal
-checksums across algorithms on the same workload are the built-in
+The runner replays an op list of line inserts and queries on a fresh
+structure per repetition, timing insert and query phases separately.  A
+timed region holds engine calls only: generation, construction and the
+fold of every query answer into a 64-bit checksum run outside the clock.
+Equal checksums across algorithms on the same workload are the built-in
 correctness guard of the harness.
 
 Benchmarks are single-threaded by design; the harness never parallelizes
@@ -20,6 +21,7 @@ timed regions.
 import csv
 import os
 from dataclasses import dataclass
+from functools import reduce
 from statistics import mean, pstdev
 from time import perf_counter
 from typing import Optional
@@ -58,12 +60,12 @@ class ChecksumMismatchError(RuntimeError):
 
 @dataclass
 class Workload:
-    """Generated op sequence: ("A", k, b), ("S", k, b, xl, xr), ("Q", x)."""
+    """Generated op sequence of ("A", k, b) inserts and ("Q", x) queries
+    over `domain`; `label` names the distribution."""
 
     domain: Domain
     ops: list
     label: str
-    seed: int
 
 
 @dataclass
@@ -109,9 +111,9 @@ def gen_random_workload(n: int, seed: int, domain: Domain = None) -> Workload:
     """Uniform random lines and queries: n//2 inserts, then the queries.
 
     Slopes, intercepts and query points are uniform integers in
-    [-COORD_BOUND, COORD_BOUND] (queries restricted to the domain, which
-    defaults to that same range).  Stream order: slopes, intercepts,
-    query points.
+    [domain.lo, domain.hi]; the domain defaults to the free-range
+    [-COORD_BOUND, COORD_BOUND].  Stream order: slopes, intercepts, query
+    points.
     """
     if n < 2:
         raise ValueError("workload needs at least 2 ops")
@@ -120,12 +122,12 @@ def gen_random_workload(n: int, seed: int, domain: Domain = None) -> Workload:
     n_ins = n // 2
     n_q = n - n_ins
     rng = _rng(seed)
-    ks = rng.integers(-COORD_BOUND, COORD_BOUND + 1, size=n_ins).tolist()
-    bs = rng.integers(-COORD_BOUND, COORD_BOUND + 1, size=n_ins).tolist()
+    ks = rng.integers(domain.lo, domain.hi + 1, size=n_ins).tolist()
+    bs = rng.integers(domain.lo, domain.hi + 1, size=n_ins).tolist()
     xs = rng.integers(domain.lo, domain.hi + 1, size=n_q).tolist()
     ops = [("A", k, b) for k, b in zip(ks, bs)]
     ops += [("Q", x) for x in xs]
-    return Workload(domain, ops, "random", seed)
+    return Workload(domain, ops, "random")
 
 
 def gen_hull_workload(n: int, seed: int = 42) -> Workload:
@@ -151,14 +153,13 @@ def gen_hull_workload(n: int, seed: int = 42) -> Workload:
             ops.append(("Q", xs[i]))
     for x in xs[n_ins:]:
         ops.append(("Q", x))
-    return Workload(domain, ops, "hull", seed)
+    return Workload(domain, ops, "hull")
 
 
 def gen_nc_workload(n: int, distribution: str, seed: int) -> Workload:
     """Static-universe workload with the coordinate range sized by n.
 
-    random: domain [-n//2, n//2]; slopes, intercepts and query points all
-    uniform in that range (stream order: slopes, intercepts, queries).
+    random: `gen_random_workload` on the domain [-n//2, n//2].
     hull: domain [0, n]; the parabola family for i in [0, n//2), insertion
     order shuffled, queries uniform in [0, n] (stream order: shuffle,
     queries).  Mix is always n//2 insertions followed by the queries.
@@ -166,22 +167,17 @@ def gen_nc_workload(n: int, distribution: str, seed: int) -> Workload:
     if n < 2:
         raise ValueError("workload needs at least 2 ops")
     domain = workload_domain(n, distribution, nc=True)
+    if distribution == "random":
+        return gen_random_workload(n, seed, domain)
     n_ins = n // 2
     n_q = n - n_ins
     rng = _rng(seed)
-    if distribution == "random":
-        half = n // 2
-        ks = rng.integers(-half, half + 1, size=n_ins).tolist()
-        bs = rng.integers(-half, half + 1, size=n_ins).tolist()
-        xs = rng.integers(-half, half + 1, size=n_q).tolist()
-        ops = [("A", k, b) for k, b in zip(ks, bs)]
-    else:
-        _checked_line((-n_ins, n_ins * n_ins), domain.lo, domain.hi)
-        order = rng.permutation(n_ins).tolist()
-        xs = rng.integers(0, n + 1, size=n_q).tolist()
-        ops = [("A", -(i + 1), (i + 1) * (i + 1)) for i in order]
+    _checked_line((-n_ins, n_ins * n_ins), domain.lo, domain.hi)
+    order = rng.permutation(n_ins).tolist()
+    xs = rng.integers(0, n + 1, size=n_q).tolist()
+    ops = [("A", -(i + 1), (i + 1) * (i + 1)) for i in order]
     ops += [("Q", x) for x in xs]
-    return Workload(domain, ops, distribution, seed)
+    return Workload(domain, ops, distribution)
 
 
 def _build_runs(ops):
@@ -199,8 +195,6 @@ def _build_runs(ops):
             payload.append(op[1])
         elif tag == "A":
             payload.append((op[1], op[2]))
-        elif tag == "S":
-            payload.append((op[1], op[2], op[3], op[4]))
         else:
             raise ValueError(f"unknown op tag {tag!r}")
     return runs
@@ -237,16 +231,17 @@ def run_benchmark(workload: Workload, algo: str, reps: int) -> BenchResult:
 
     Insert and query wall time accumulate separately per repetition;
     reported times are means over repetitions, cv is the coefficient of
-    variation of the per-repetition totals.  All repetitions must produce
-    the same answer checksum (they are deterministic replays), otherwise
-    the run aborts.
+    variation of the per-repetition totals.  Each query run is timed as
+    one `list(map(engine.query, xs))`, and its answers are folded into the
+    checksum after the clock stops.  All repetitions must produce the same
+    checksum (they are deterministic replays), otherwise the run aborts.
+    An op other than a line insert or a query raises ValueError.
     """
     if algo not in ALGOS:
         raise WorkloadMismatchError(f"unknown algo {algo!r}")
     if reps < 1:
         raise ValueError("reps must be >= 1")
-    why = engine_mismatch(algo, workload.domain.size,
-                          any(op[0] == "S" for op in workload.ops))
+    why = engine_mismatch(algo, workload.domain.size, False)
     if why:
         raise WorkloadMismatchError(why)
 
@@ -261,25 +256,15 @@ def run_benchmark(workload: Workload, algo: str, reps: int) -> BenchResult:
         h = _FNV_OFFSET
         for kind, payload in runs:
             if kind == "Q":
-                qf = engine.query
                 t0 = perf_counter()
-                for x in payload:
-                    v = qf(x)
-                    if v is None:
-                        v = _ABSENT
-                    h = ((h ^ (v & _MASK64)) * _FNV_PRIME) & _MASK64
+                got = list(map(engine.query, payload))
                 q_t += perf_counter() - t0
-            elif kind == "A":
+                h = reduce(fold_answer, got, h)
+            else:
                 f = engine.insert_line
                 t0 = perf_counter()
                 for kb in payload:
                     f(kb)
-                ins_t += perf_counter() - t0
-            else:
-                f = engine.insert_segment
-                t0 = perf_counter()
-                for k, b, xl, xr in payload:
-                    f((k, b), xl, xr)
                 ins_t += perf_counter() - t0
         insert_times.append(ins_t)
         query_times.append(q_t)
@@ -312,27 +297,15 @@ def ensure_consistent(results) -> None:
         raise ChecksumMismatchError(f"checksum divergence: {detail}")
 
 
-def _row(result: BenchResult):
-    return [result.n, result.distribution, result.algo,
-            repr(result.insert_ms), repr(result.query_ms),
-            repr(result.total_ms), repr(result.cv), result.checksum]
-
-
-def write_csv(results, path) -> None:
-    """Write a fresh CSV file: fixed header, one row per result."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(CSV_FIELDS)
-        for r in results:
-            w.writerow(_row(r))
-
-
-def append_csv(result: BenchResult, path) -> None:
-    """Append one row, writing the header first if the file is new/empty."""
+def append_csv(results, path) -> None:
+    """Append one row per result, writing the fixed header first if the
+    file is new or empty."""
     fresh = not os.path.exists(path) or os.path.getsize(path) == 0
     with open(path, "a", newline="") as fh:
         w = csv.writer(fh)
         if fresh:
             w.writerow(CSV_FIELDS)
-        w.writerow(_row(result))
-
+        for r in results:
+            w.writerow([r.n, r.distribution, r.algo, repr(r.insert_ms),
+                        repr(r.query_ms), repr(r.total_ms), repr(r.cv),
+                        r.checksum])

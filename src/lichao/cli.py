@@ -84,7 +84,7 @@ def cmd_bench(args) -> int:
         workload = gen_hull_workload(args.n, args.seed)
     result = run_benchmark(workload, args.algo, args.reps)
     if args.csv:
-        append_csv(result, args.csv)
+        append_csv([result], args.csv)
     print(f"n={result.n} dist={result.distribution} algo={result.algo} "
           f"insert_ms={result.insert_ms:.3f} query_ms={result.query_ms:.3f} "
           f"total_ms={result.total_ms:.3f} cv={result.cv:.4f} "
@@ -110,7 +110,8 @@ def cmd_verify(args) -> int:
               f"max_visits={report.max_line_visits}/{report.max_seg_visits}")
         return 0
     print(f"FAIL: {report.failure}", file=sys.stderr)
-    print("minimal failing prefix:", file=sys.stderr)
+    print(f"failing prefix ({len(report.failing_prefix)} of "
+          f"{report.ops_total} ops):", file=sys.stderr)
     for op in report.failing_prefix:
         print(format_op(op), file=sys.stderr)
     return 1

@@ -9,10 +9,11 @@ answer.
 O(N) per query, vectorized over the entry list; workloads are expected to
 stay small (<= ~10^4 entries).  Coefficients, bounds and x are converted
 with `operator.index`, as the engines convert them, so a float raises
-TypeError.  Values are computed in int64, which is exact only for lines
-inside the engines' contract (`lichao.core`): the oracle checks nothing
-and wraps silently on a line outside it.  `run_verify` adds a line only
-after the core tree has accepted it.  Single-threaded use only.
+TypeError.  Any coefficient that fits int64 is accepted and every answer
+is exact: a query evaluates in int64 when the running maxima of |k| and
+|b| bound every value at x inside int64 (as they do for every line inside
+the engines' contract, `lichao.core`), and in Python ints otherwise.
+Single-threaded use only.
 """
 
 from operator import index
@@ -20,9 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import InvalidSegmentError
-
-_I64 = np.iinfo(np.int64)
+from .core import I64_MAX, I64_MIN, InvalidSegmentError
 
 
 class NaiveSet:
@@ -35,6 +34,8 @@ class NaiveSet:
         self._xls = np.empty(cap, dtype=np.int64)
         self._xrs = np.empty(cap, dtype=np.int64)
         self._n = 0
+        self._kmax = 0  # running maxima of |k| and |b|
+        self._bmax = 0
 
     def __len__(self) -> int:
         return self._n
@@ -47,16 +48,19 @@ class NaiveSet:
                 grown = np.empty(2 * n, dtype=np.int64)
                 grown[:n] = old
                 setattr(self, name, grown)
-        self._ks[n] = index(k)
-        self._bs[n] = index(b)
+        k, b = index(k), index(b)
+        self._ks[n] = k
+        self._bs[n] = b
         self._xls[n] = xl
         self._xrs[n] = xr
         self._n = n + 1
+        self._kmax = max(self._kmax, abs(k))
+        self._bmax = max(self._bmax, abs(b))
 
     def add_line(self, line) -> None:
         """Append a full line (valid at every coordinate)."""
         k, b = line
-        self._append(k, b, _I64.min, _I64.max)
+        self._append(k, b, I64_MIN, I64_MAX)
 
     def add_segment(self, line, xl: int, xr: int) -> None:
         """Append a line valid only on [xl, xr]."""
@@ -76,5 +80,8 @@ class NaiveSet:
         mask = (self._xls[:n] <= x) & (x <= self._xrs[:n])
         if not mask.any():
             return None
-        vals = self._ks[:n][mask] * x + self._bs[:n][mask]
-        return int(vals.min())
+        ks = self._ks[:n][mask]
+        bs = self._bs[:n][mask]
+        if self._kmax * abs(x) + self._bmax > I64_MAX:
+            return min(k * x + b for k, b in zip(ks.tolist(), bs.tolist()))
+        return int((ks * x + bs).min())

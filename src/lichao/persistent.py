@@ -17,6 +17,7 @@ versions and the path-copying insert.  `query_many(version, xs)` equals
 queried version reaches, renumbered, since the arena also holds every
 older version, and the size rule weighs the version by its bound of
 `version` nodes: each insert adds at most one node to the tree it copies.
+The arena never holds fewer: each insert appends at least one node.
 
 Concurrency: insertions serialize (they append to the shared arena).
 Queries on any committed version are safe concurrently with each other and
@@ -125,8 +126,7 @@ class PersistentForest(_PointerArena):
         self._check_version(version)
         got = None
         if _takes_kernel(self, PersistentForest, len(xs),
-                         self.domain.depth_bound + 1,
-                         min(version, len(self._k))):
+                         self.domain.depth_bound + 1, version):
             got = self._kernel(self._roots[version], xs)
         if got is None:
             q = self.query

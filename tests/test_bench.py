@@ -4,12 +4,12 @@ import math
 import pytest
 
 from lichao import Domain, LiChaoTree, LineContainer
-from lichao.bench import (CSV_FIELDS, ZKW_MAX_UNIVERSE,
+from lichao.bench import (ALGOS, CSV_FIELDS, ZKW_MAX_UNIVERSE,
                           ChecksumMismatchError, WorkloadMismatchError,
                           Workload, append_csv, engine_mismatch,
                           ensure_consistent, fold_answer, gen_hull_workload,
                           gen_nc_workload, gen_random_workload,
-                          run_benchmark, write_csv)
+                          run_benchmark, workload_domain)
 
 
 def test_same_seed_same_ops():
@@ -55,6 +55,23 @@ def test_nc_random_domain_is_sized_by_n():
     for op in wl.ops:
         for v in op[1:]:
             assert -50_000 <= v <= 50_000
+
+
+def test_nc_random_is_the_random_workload_on_the_static_domain():
+    for n in (2, 3, 2000):
+        for seed in (1, 7, 42):
+            domain = workload_domain(n, "random", True)
+            assert gen_nc_workload(n, "random", seed).ops == \
+                gen_random_workload(n, seed, domain).ops
+
+
+def test_random_lines_lie_in_a_passed_domain():
+    domain = Domain(-(2**29), 2**29 - 1)
+    wl = gen_random_workload(2000, 42, domain)
+    assert wl.domain == domain
+    for op in wl.ops:
+        for v in op[1:]:
+            assert domain.lo <= v <= domain.hi
 
 
 def test_nc_hull_queries_within_range():
@@ -149,11 +166,10 @@ def test_engine_mismatch_rules():
     assert "up front" in why and "--nc" in why
 
 
-def test_segments_only_run_on_the_core_tree():
-    wl = Workload(Domain(0, 63), [("S", 1, 0, 5, 20), ("Q", 7)], "custom", 0)
-    assert run_benchmark(wl, "lict", 1).checksum
-    for algo in ("cht",):
-        with pytest.raises(WorkloadMismatchError):
+def test_the_runner_refuses_segment_ops():
+    wl = Workload(Domain(0, 63), [("S", 1, 0, 5, 20), ("Q", 7)], "custom")
+    for algo in ALGOS:
+        with pytest.raises(ValueError, match="unknown op tag 'S'"):
             run_benchmark(wl, algo, 1)
 
 
@@ -179,14 +195,13 @@ def row(result):
 
 def test_csv_write_and_roundtrip(tmp_path):
     path = tmp_path / "out.csv"
-    write_csv([], path)
+    append_csv([], path)
     assert path.read_text().strip() == \
         "n,distribution,algo,insert_ms,query_ms,total_ms,cv,checksum"
+    assert csv_rows(path) == []
     wl = gen_random_workload(200, 2)
     results = [run_benchmark(wl, "lict", 2), run_benchmark(wl, "cht", 2)]
-    write_csv(results[:1], path)
-    assert len(path.read_text().strip().splitlines()) == 2
-    write_csv(results, path)
+    append_csv(results, path)
     assert len(path.read_text().strip().splitlines()) == 3
     assert csv_rows(path) == [row(r) for r in results]
 
@@ -195,8 +210,8 @@ def test_csv_append_writes_header_once(tmp_path):
     path = tmp_path / "rows.csv"
     wl = gen_random_workload(100, 4)
     r = run_benchmark(wl, "lict", 1)
-    append_csv(r, path)
-    append_csv(r, path)
+    append_csv([r], path)
+    append_csv([r], path)
     lines = path.read_text().strip().splitlines()
     assert len(lines) == 3
     assert lines[0].startswith("n,distribution")

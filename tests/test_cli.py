@@ -288,8 +288,9 @@ def test_verify_reports_a_routing_fault(monkeypatch, capsys, segments):
     lines = err.splitlines()
     assert lines[0].startswith("FAIL: op ")
     assert "lict routing dominance violated" in lines[0]
-    assert lines[1] == "minimal failing prefix:"
-    assert len(lines) == 2 + failing_op_index(lines[0]) + 1
+    idx = failing_op_index(lines[0])
+    assert lines[1] == f"failing prefix ({idx + 1} of 400 ops):"
+    assert len(lines) == 2 + idx + 1
 
 
 @pytest.mark.parametrize("cls,engine", [(LiChaoTree, "lict-batch"),
@@ -343,11 +344,11 @@ def test_verify_prefixes_a_bound_failure(monkeypatch, capsys):
     lines = err.splitlines()
     assert lines[0].startswith("FAIL: ")
     assert "structural bound violation" in lines[0]
-    assert lines[1] == "minimal failing prefix:"
+    assert lines[1] == f"failing prefix ({first[0] + 1} of 300 ops):"
     assert len(lines) == 2 + first[0] + 1
 
 
-def test_verify_prefixes_an_audit_failure(monkeypatch):
+def test_verify_prefixes_an_audit_failure(monkeypatch, capsys):
     # a stored line made worse than one routed through its node; the audit
     # checks the final state, so the prefix is the whole op list
     orig = LiChaoTree.audit_routed_optimality
@@ -363,6 +364,13 @@ def test_verify_prefixes_an_audit_failure(monkeypatch):
     assert report.failure.startswith("midpoint-optimality audit failed")
     assert report.audit_violations > 0
     assert report.failing_prefix == ops
+    code, out, err = run(capsys, "verify", "--ops", "300", "--c", "64",
+                         "--seed", "1")
+    assert code == 1 and out == ""
+    lines = err.splitlines()
+    assert lines[0].startswith("FAIL: midpoint-optimality audit failed")
+    assert lines[1] == "failing prefix (300 of 300 ops):"
+    assert len(lines) == 2 + 300
 
 
 @pytest.mark.parametrize("cls,engine", [(LiChaoTree, "lict"),

@@ -84,3 +84,14 @@ def test_floats_are_refused_as_every_engine_refuses_them():
         with pytest.raises(TypeError):
             s.query(x)
     assert [s.query(x) for x in (3, np.int64(4))] == [5, -9]
+
+
+def test_values_past_int64_are_exact():
+    # 2^40 * 2^23 = 2^63 is one past I64_MAX; int64 wraps it to I64_MIN
+    s = NaiveSet()
+    s.add_line((2**40, 0))
+    assert s.query(2**23) == 2**63
+    s.add_line((0, 0))
+    assert s.query(2**23) == 0
+    assert s.query(-(2**23)) == -(2**63)
+    assert s.query(5) == 0
