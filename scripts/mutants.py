@@ -69,7 +69,7 @@ CATALOGUE = [
      "[I64_MAX - 1] * (2 * p)", None),
     ("zkw-kernel-skips-root", ZKW, "for _ in range(self._p.bit_length()):",
      "for _ in range(self._p.bit_length() - 1):", None),
-    ("zkw-kernel-declines", ZKW, "x = _kernel_xs(xs, self.lo, self.hi)",
+    ("zkw-kernel-declines", ZKW, "x = _kernel_xs(xs, d.lo, d.hi)",
      "x = None", None),
     ("zkw-kernel-never-called", ZKW, "got = self._kernel(xs)", "got = None",
      None),
@@ -115,6 +115,13 @@ CATALOGUE = [
     # the oracle's values past int64 left to wrap
     ("oracle-exact-never", ORACLE,
      "if self._kmax * abs(x) + self._bmax > I64_MAX:", "if False:", None),
+    # a universe's edges: segment bounds drawn past int64, and random lines
+    # drawn on a domain where they overflow
+    ("verify-overhang-unclamped", VERIFY,
+     "overhang = min(max(1, c // 4), I64_MAX + 1 - c)",
+     "overhang = max(1, c // 4)", None),
+    ("random-domain-unchecked", BENCH, "_checked_line((k, b), lo, hi)",
+     "pass", None),
     # the input boundary: a line or a query point used as the caller passed it
     ("line-unconverted", CORE, "    k = index(k)\n    b = index(b)\n", "",
      None),

@@ -113,18 +113,23 @@ def gen_random_workload(n: int, seed: int, domain: Domain = None) -> Workload:
     Slopes, intercepts and query points are uniform integers in
     [domain.lo, domain.hi]; the domain defaults to the free-range
     [-COORD_BOUND, COORD_BOUND].  Stream order: slopes, intercepts, query
-    points.
+    points.  Rejects a domain on which some such line would overflow 64-bit
+    evaluation; k*x + b is extreme at a corner of the (k, b, x) box.
     """
     if n < 2:
         raise ValueError("workload needs at least 2 ops")
     if domain is None:
         domain = workload_domain(n, "random", nc=False)
+    lo, hi = domain.lo, domain.hi
+    for k in (lo, hi):
+        for b in (lo, hi):
+            _checked_line((k, b), lo, hi)
     n_ins = n // 2
     n_q = n - n_ins
     rng = _rng(seed)
-    ks = rng.integers(domain.lo, domain.hi + 1, size=n_ins).tolist()
-    bs = rng.integers(domain.lo, domain.hi + 1, size=n_ins).tolist()
-    xs = rng.integers(domain.lo, domain.hi + 1, size=n_q).tolist()
+    ks = rng.integers(lo, hi + 1, size=n_ins).tolist()
+    bs = rng.integers(lo, hi + 1, size=n_ins).tolist()
+    xs = rng.integers(lo, hi + 1, size=n_q).tolist()
     ops = [("A", k, b) for k, b in zip(ks, bs)]
     ops += [("Q", x) for x in xs]
     return Workload(domain, ops, "random")

@@ -41,10 +41,9 @@ def gen_verify_ops(n_ops: int, c: int, seed: int,
     64-bit representability contract over the universe.  With
     `segments=True` roughly a third of the ops are segment insertions,
     with bounds overhanging the universe now and then to exercise
-    clamping.
+    clamping.  Raises InvalidDomainError unless [0, c-1] is a `Domain`.
     """
-    if c < 1:
-        raise ValueError("universe size must be >= 1")
+    c = Domain(0, c - 1).size
     if n_ops == 0:
         return []
     bound = min(10**9, I64_MAX // (2 * c))
@@ -53,7 +52,8 @@ def gen_verify_ops(n_ops: int, c: int, seed: int,
     ks = rng.integers(-bound, bound + 1, size=n_ops).tolist()
     bs = rng.integers(-bound, bound + 1, size=n_ops).tolist()
     xs = rng.integers(0, c, size=n_ops).tolist()
-    overhang = max(1, c // 4)
+    # up to a quarter of the universe on each side, as far as int64 allows
+    overhang = min(max(1, c // 4), I64_MAX + 1 - c)
     los = rng.integers(-overhang, c + overhang, size=n_ops).tolist()
     his = rng.integers(-overhang, c + overhang, size=n_ops).tolist()
     ops = []
@@ -116,17 +116,17 @@ def run_verify(ops: list, c: int, *, include_zkw: bool = False,
     A query is checked against the engines in the order lict, zkw, cht,
     persistent, up to the first wrong answer.
     """
+    domain = Domain(0, c - 1)
     has_segments = any(op[0] == "S" for op in ops)
     engines = ["lict"]
     for name, wanted in (("zkw", include_zkw), ("cht", include_cht),
                          ("persistent", include_persistent)):
         if wanted:
-            why = engine_mismatch(name, c, has_segments)
+            why = engine_mismatch(name, domain.size, has_segments)
             if why:
                 raise WorkloadMismatchError(why)
             engines.append(name)
 
-    domain = Domain(0, c - 1)
     h = domain.depth_bound
     # one root-to-leaf path; for zkw, over P = 2^h padded coordinates
     line_limit = h + 1

@@ -42,12 +42,9 @@ class ZkwTree:
     """
 
     def __init__(self, lo: int, size: int):
-        lo, size = index(lo), index(size)
-        self.domain = Domain(lo, lo + size - 1)  # non-empty, in int64
-        p = 1 << (size - 1).bit_length() if size > 1 else 1
-        self.lo = lo
-        self.size = size
-        self._p = p
+        # non-empty and in int64; padded to P = 2^depth_bound coordinates
+        self.domain = Domain(lo, index(lo) + index(size) - 1)
+        p = self._p = 1 << self.domain.depth_bound
         # parallel cell arrays; _k[i] is None for an empty cell, whose
         # intercept I64_MAX never lowers a minimum in the batch kernel
         self._k: list = [None] * (2 * p)
@@ -59,17 +56,14 @@ class ZkwTree:
     def num_cells(self) -> int:
         return 2 * self._p
 
-    @property
-    def hi(self) -> int:
-        return self.lo + self.size - 1
-
     def insert_line(self, line) -> None:
         """Insert a full line; identical envelope semantics to the core tree."""
-        k, b = _checked_line(line, self.lo, self.hi)
+        d = self.domain
+        k, b = _checked_line(line, d.lo, d.hi)
         K, B = self._k, self._b
         i = 1
         # cell i covers [l, r] in external coordinates, padding included
-        l = self.lo
+        l = d.lo
         r = l + self._p - 1
         while True:
             ck = K[i]
@@ -103,7 +97,7 @@ class ZkwTree:
         """Envelope value at x, or None; bottom-up walk from the leaf cell."""
         x = self.domain.point(x)
         K, B = self._k, self._b
-        i = x - self.lo + self._p
+        i = x - self.domain.lo + self._p
         best = None
         while i:
             ck = K[i]
@@ -137,7 +131,8 @@ class ZkwTree:
         over the P.bit_length() cells up to the root.  Empty cells hold
         slope 0 and intercept I64_MAX.  None when `_kernel_xs` declines
         xs; the kernel's one entry, for `query_many` and the tests."""
-        x = _kernel_xs(xs, self.lo, self.hi)
+        d = self.domain
+        x = _kernel_xs(xs, d.lo, d.hi)
         if x is None:
             return None
         K = self._k
@@ -145,7 +140,7 @@ class ZkwTree:
             return [None] * len(x)
         kk = np.fromiter((k or 0 for k in K), np.int64, len(K))
         bb = np.array(self._b, np.int64)
-        i = x - self.lo  # then + P: lo - P may lie below int64
+        i = x - d.lo  # then + P: lo - P may lie below int64
         i += self._p
         best = np.full(len(x), I64_MAX, np.int64)
         for _ in range(self._p.bit_length()):
@@ -162,7 +157,7 @@ class ZkwTree:
         Intervals are in external coordinates and include the padding.
         Pre-order; the subtree under an empty cell is empty and skipped.
         """
-        off = self.lo
+        off = self.domain.lo
         K, B = self._k, self._b
         stack = [(1, 0, self._p - 1, 0)]
         while stack:

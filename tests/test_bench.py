@@ -74,6 +74,19 @@ def test_random_lines_lie_in_a_passed_domain():
             assert domain.lo <= v <= domain.hi
 
 
+def test_random_workload_refuses_a_domain_its_lines_overflow():
+    # k*x + b peaks at a corner of the box: m*m + m fits int64 for
+    # m = 3037000499 and leaves it for m + 1; refused before any draw, not
+    # inside the timed replay
+    m = 3037000499
+    wl = gen_random_workload(200, 1, Domain(-m, m))
+    assert run_benchmark(wl, "lict", 1).checksum == \
+        run_benchmark(wl, "cht", 1).checksum
+    for domain in (Domain(-m - 1, m + 1), Domain(-(2**33), 2**33)):
+        with pytest.raises(OverflowError):
+            gen_random_workload(200, 1, domain)
+
+
 def test_nc_hull_queries_within_range():
     wl = gen_nc_workload(100, "hull", 3)
     assert wl.domain == Domain(0, 100)

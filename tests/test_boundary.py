@@ -172,7 +172,7 @@ def test_numpy_bounds_are_converted():
     with pytest.raises(OutOfDomainError):
         Domain(0, 9).point(np.int64(10))
     z = ZkwTree(np.int64(0), np.int64(16))
-    assert (z.num_cells, z.hi) == (32, 15)
+    assert (z.num_cells, z.domain.hi) == (32, 15)
     z.insert_line((np.int32(1), np.int32(2)))
     assert z.query(np.int64(15)) == 17
 

@@ -244,6 +244,25 @@ def test_verify_negative_ops_is_usage_error(capsys):
     assert "--ops" in err
 
 
+@pytest.mark.parametrize("segments", [(), ("--segments",)],
+                         ids=["lines", "segments"])
+@pytest.mark.parametrize("c", [7 * 10**18, 75 * 10**17, 2**63])
+def test_verify_runs_on_every_universe_up_to_int64(capsys, c, segments):
+    # segment bounds overhang the universe by at most what int64 leaves
+    code, out, err = run(capsys, "verify", "--ops", "300", "--c", str(c),
+                         "--seed", "2", *segments)
+    assert (code, err) == (0, "")
+    assert out.startswith("OK:")
+
+
+@pytest.mark.parametrize("c", [0, 2**63 + 1])
+def test_verify_invalid_universe_is_usage_error(capsys, c):
+    code, out, err = run(capsys, "verify", "--ops", "300", "--c", str(c),
+                         "--seed", "2")
+    assert (code, out) == (2, "")
+    assert "invalid domain" in err
+
+
 def test_run_verify_refuses_engines_that_cannot_take_segments():
     ops = [("S", 1, 0, 2, 5), ("Q", 3)]
     assert run_verify(ops, 8).engines == ("lict",)

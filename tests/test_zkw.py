@@ -191,7 +191,7 @@ def test_query_many_on_a_single_cell_universe():
 
 def test_query_many_on_a_padded_universe_up_to_hi():
     z = random_tree(-7, 1000, 300, 2)  # P = 1024
-    xs = list(range(-7, 993)) + [z.hi] * 50
+    xs = list(range(-7, 993)) + [z.domain.hi] * 50
     assert assert_batches_match(z, xs)[-1] == z.query(992)
 
 
@@ -200,7 +200,7 @@ def test_query_many_at_the_ends_of_int64():
     rng = np.random.default_rng(6)
     for lo in (I64_MIN, I64_MAX - size + 1):
         z = ZkwTree(lo, size)
-        t = LiChaoTree(Domain(lo, z.hi))
+        t = LiChaoTree(Domain(lo, z.domain.hi))
         kept = 0
         while kept < 40:
             # k*lo + b anywhere in int64, where k*x alone may leave it
@@ -214,7 +214,7 @@ def test_query_many_at_the_ends_of_int64():
                 continue
             z.insert_line((k, b))
             kept += 1
-        xs = list(range(lo, z.hi + 1))
+        xs = list(range(lo, z.domain.hi + 1))
         assert assert_batches_match(z, xs) == [t.query(x) for x in xs]
 
 
