@@ -77,16 +77,27 @@ CATALOGUE = [
     # losing to it, and an empty loser that is routed on down the tree
     ("empty-is-int64", CORE, "_EMPTY = 1 << 63", "_EMPTY = (1 << 63) - 1",
      None),
-    ("empty-line-routed", CORE, "if l == r or midf and b == empty:",
-     "if l == r:", None),
+    ("empty-line-routed", CORE, "elif (dk * r < db) != midf:",
+     "elif (dk * r < db) != midf or b == _EMPTY:", None),
+    # the stop: a loser that wins nowhere on its node's interval routed on
+    # as before the stop (the leaf and the displaced empty line still
+    # stop), in each loop; and a stop that tests m where it must test r
+    ("dominated-loser-routed", CORE, "elif (dk * r < db) != midf:",
+     "elif l < r and not (midf and b == _EMPTY):", None),
+    ("zkw-dominated-loser-routed", ZKW, "elif (dk * r < db) != midf:",
+     "elif l < r:", None),
+    ("persistent-dominated-loser-routed", PERSISTENT,
+     "elif (dk * r < db) != midf:", "elif l < r:", None),
+    ("stop-tests-m", CORE, "elif (dk * r < db) != midf:",
+     "elif (dk * m < db) != midf:", None),
     # the routing check of audited inserts, its two intervals swapped
     ("routing-intervals-swapped", CORE,
      "self._assert_routing(ck, cb, k, b, m + 1, r)\n"
-     "                    else:\n"
-     "                        self._assert_routing(ck, cb, k, b, l, m)",
+     "                else:\n"
+     "                    self._assert_routing(ck, cb, k, b, l, m)",
      "self._assert_routing(ck, cb, k, b, l, m)\n"
-     "                    else:\n"
-     "                        self._assert_routing(ck, cb, k, b, m + 1, r)",
+     "                else:\n"
+     "                    self._assert_routing(ck, cb, k, b, m + 1, r)",
      None),
     # hull pruning keeps lines that no longer contribute
     ("hull-prune-gt", BASELINE, "nxt is not None and p >= self._p[c][j]",
@@ -134,8 +145,8 @@ CATALOGUE = [
      "self.last_visited = self._p.bit_length()",
      "self.last_visited = self._p.bit_length() + 1", None),
     # a leaf that allocates a child, which the scalar walk would step into
-    ("leaf-allocates", CORE, "if l == r or midf and b == empty:",
-     "if l > r or midf and b == empty:", None),
+    ("leaf-allocates", CORE, "elif (dk * r < db) != midf:",
+     "elif (dk * r < db) != midf or l == r:", None),
     # run_verify's engine chain with one engine skipped, and a bound
     # failure without its prefix
     ("verify-skips-lict", VERIFY, 'engine, got = "lict", tree.query(x)',

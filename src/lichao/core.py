@@ -3,8 +3,8 @@
 Maintains a set of lines y = k*x + b and answers point queries for the
 minimum (or maximum) value among them.  Each tree node owns an implicit
 interval and stores the line that wins at the interval midpoint; insertion
-routes the losing line into the child containing the crossing point, so
-every operation touches a single root-to-leaf path.
+routes the losing line into the child where it still wins, or drops it when
+it wins nowhere on the node's interval, so an operation touches one path.
 
 Coordinates, slopes and intercepts are integers; arithmetic is exact.  The
 contract: `Domain` bounds, and an inserted line's k, b and k*x + b over the
@@ -369,8 +369,8 @@ class LiChaoTree(_PointerArena):
 
     Nodes are allocated on demand in the `_PointerArena` lists; children
     partition the parent interval into [l, m] and [m+1, r] with
-    m = floor((l+r)/2), and a leaf owns a single coordinate and drops
-    losing lines outright.
+    m = floor((l+r)/2); a losing line that wins nowhere on its node's
+    interval, such as the loser at a single-coordinate leaf, is dropped.
 
     Ties at a midpoint keep the resident line and route the incoming line
     down; this makes duplicate insertions harmless.
@@ -429,15 +429,14 @@ class LiChaoTree(_PointerArena):
 
     def _insert_descend(self, cur: int, l: int, r: int, k: int,
                         b: int) -> int:
-        """Route line (k, b) down from `cur`, a node over [l, r]; returns
-        the number of nodes visited.  At most one node is allocated per
-        call.  An empty node takes the line by the ordinary swap, and the
-        descent stops once the loser is the empty line.
+        """Route line (k, b) down from `cur`, a node over [l, r], allocating
+        at most one node; returns the number of nodes visited.  An empty
+        node takes the line by the ordinary swap; a loser that wins nowhere
+        on its node's interval, a displaced empty line too, is dropped.
         """
         routed = self._routed
         K, B = self._k, self._b
         Lc, Rc = self._left, self._right
-        empty = _EMPTY
         visits = 0
         while True:
             visits += 1
@@ -458,15 +457,10 @@ class LiChaoTree(_PointerArena):
             if routed:  # audited: the record holds one entry per node
                 # the incoming line: the winner if it won the swap
                 routed[cur] += (ck, cb) if midf else (k, b)
-                if l < r:
-                    if lef != midf:
-                        self._assert_routing(ck, cb, k, b, m + 1, r)
-                    else:
-                        self._assert_routing(ck, cb, k, b, l, m)
-            if l == r or midf and b == empty:
-                # a single-coordinate leaf drops the loser; an empty line,
-                # a loser only when the swap displaced it, needs no place
-                break
+                if lef != midf:
+                    self._assert_routing(ck, cb, k, b, m + 1, r)
+                else:
+                    self._assert_routing(ck, cb, k, b, l, m)
             if lef != midf:
                 # crossing lies in [l, m]; loser continues left
                 nxt = Lc[cur]
@@ -475,13 +469,19 @@ class LiChaoTree(_PointerArena):
                     Lc[cur] = self._alloc(k, b)
                     visits += 1
                     break
-            else:
+            elif (dk * r < db) != midf:
                 nxt = Rc[cur]
                 l = m + 1
                 if nxt == NIL:
                     Rc[cur] = self._alloc(k, b)
                     visits += 1
                     break
+            else:
+                # the loser wins nowhere on [l, r] (a leaf's loser, an empty
+                # line the swap displaced, a dominated line): dropped
+                if routed:
+                    self._assert_routing(ck, cb, k, b, l, r)
+                break
             cur = nxt
         return visits
 

@@ -1,10 +1,10 @@
 """Fully persistent lower-envelope tree via path copying.
 
-Every full-line insertion copies only the nodes along the single
-root-to-leaf routing path and produces a new immutable version that shares
-all unmodified subtrees with its base.  Nodes live in an append-only arena
-and are never mutated after creation, so any number of version histories
-(including branched ones) coexist in one forest.
+Every full-line insertion copies only the nodes on its routing path, which
+ends where the loser wins nowhere on a node's interval, into a new immutable
+version sharing all unmodified subtrees with its base.  Nodes live in an
+append-only arena and are never mutated after creation, so any number of
+version histories (including branched ones) coexist in one forest.
 
 Only full-line insertion is persistent; a persistent segment insertion
 would copy O(log^2 C) nodes per operation and is out of scope.
@@ -63,10 +63,10 @@ class PersistentForest(_PointerArena):
     def insert(self, base: int, line) -> int:
         """Create a new version = base's envelope lowered by `line`.
 
-        Appends at most ceil(log2(C)) + 1 fresh nodes, root first; each
-        copy of a path node points at the copy appended after it, and
-        everything off the routing path is shared with the base version by
-        handle.
+        Appends a copy of each routing-path node, root first, each pointing
+        at the copy after it, and a node for the loser if the path leaves
+        the tree: at most ceil(log2(C)) + 1 nodes.  The path ends where the
+        loser wins nowhere on a node's interval; the rest is shared by handle.
         """
         self._check_version(base)
         d = self.domain
@@ -89,21 +89,21 @@ class PersistentForest(_PointerArena):
             # (ck, cb) is the winner for the copy of `cur`, (k, b) the loser
             K.append(ck)
             B.append(cb)
-            if l == r:
-                Lc.append(NIL)  # single-coordinate leaf: the loser is dropped
-                Rc.append(NIL)
-                break
             if lef != midf:
                 # crossing lies in [l, m]; loser continues left
                 Lc.append(len(K))
                 Rc.append(Rc[cur])
                 cur = Lc[cur]
                 r = m
-            else:
+            elif (dk * r < db) != midf:
                 Lc.append(Lc[cur])
                 Rc.append(len(K))
                 cur = Rc[cur]
                 l = m + 1
+            else:  # the loser wins nowhere on [l, r]: dropped, children kept
+                Lc.append(Lc[cur])
+                Rc.append(Rc[cur])
+                break
         else:
             K.append(k)
             B.append(b)

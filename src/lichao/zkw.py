@@ -82,14 +82,14 @@ class ZkwTree:
                 K[i] = k
                 B[i] = b
                 k, b, ck, cb = ck, cb, k, b
-            if l == r:
-                break
             if lef != midf:
                 i = 2 * i
                 r = m
-            else:
+            elif (dk * r < db) != midf:
                 i = 2 * i + 1
                 l = m + 1
+            else:
+                break
         # one cell read per level, from the root (cell 1) down to cell i
         self.last_visited = i.bit_length()
 

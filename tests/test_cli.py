@@ -346,11 +346,14 @@ def test_verify_prefixes_a_bound_failure(monkeypatch, capsys):
     # the prefix ends at the op of the first violation
     orig = ZkwTree.insert_line
 
-    def one_visit_too_many(self, line):
+    def one_cell_past_a_leaf(self, line):
+        # a count above the h + 1 cells of a root-to-leaf path, on every
+        # insert: one added to the true count trips no bound on a stream
+        # whose inserts stop above the leaf level
         orig(self, line)
-        self.last_visited += 1
+        self.last_visited = self._p.bit_length() + 1
 
-    monkeypatch.setattr(ZkwTree, "insert_line", one_visit_too_many)
+    monkeypatch.setattr(ZkwTree, "insert_line", one_cell_past_a_leaf)
     ops = gen_verify_ops(300, 64, 1)
     report = run_verify(ops, 64, include_zkw=True)
     assert not report.ok

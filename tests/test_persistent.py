@@ -193,12 +193,14 @@ def test_query_many_max_orientation_and_subclass_query():
 
 def test_query_many_size_rule_weighs_the_version(monkeypatch):
     # the arena outgrows 300 xs * 11 levels, but version v holds at most v
-    # nodes (each insert adds at most one), so the run takes the kernel
+    # nodes (each insert adds at most one), so the run takes the kernel;
+    # line a is the only one that wins at x = a, so no insert is dropped
+    # early and each copies a long path
     f = PersistentForest(DOM)
     rng = np.random.default_rng(5)
     v = 0
-    for _ in range(2000):
-        v = f.insert(v, rand_line(rng))
+    for a in rng.permutation(DOM.size).tolist():
+        v = f.insert(v, (-2 * a, a * a))
     xs = rng.integers(0, 1024, size=300).tolist()
     assert 300 * H1 < f.arena_size
     calls = []
@@ -234,3 +236,49 @@ def test_the_three_insert_loops_build_the_same_tree():
 
     assert shape(t.iter_nodes()) == shape(z.iter_nodes())
     assert shape(t.iter_nodes()) == shape(f._nodes(f._roots[v]))
+
+
+def _lict_loop(d):
+    t = LiChaoTree(d)
+    return t.insert_line, lambda: t.node_count, lambda: t.last_visited
+
+
+def _zkw_loop(d):
+    z = ZkwTree(d.lo, d.size)
+    return (z.insert_line, lambda: sum(k is not None for k in z._k),
+            lambda: z.last_visited)
+
+
+def _forest_loop(d):
+    f = PersistentForest(d)
+    latest = [0]
+
+    def insert(line):
+        latest[0] = f.insert(latest[0], line)
+
+    # the nodes of the latest version, and its insert's one appended copy
+    # per node on the path
+    return (insert, lambda: len(list(f._nodes(f._roots[latest[0]]))),
+            lambda: f.last_appended)
+
+
+@pytest.mark.parametrize("loop", [_lict_loop, _zkw_loop, _forest_loop],
+                         ids=["lict", "zkw", "persistent"])
+@pytest.mark.parametrize("domain,resident,line", [
+    # (2, 5) is above (1, 0) at both ends of the domain, so at the root
+    (Domain(0, 1023), [(1, 0)], (2, 5)),
+    # c = 1: the resident (0, 5) loses the leaf to (0, 3)
+    (Domain(0, 0), [(0, 5)], (0, 3)),
+    # a first insert: the tree's root is born empty, and its empty line
+    # loses to (1, 0) at every point
+    (Domain(0, 1023), [], (1, 0)),
+], ids=["dominated", "leaf", "empty-line"])
+def test_a_loser_that_wins_nowhere_stops_the_descent(loop, domain, resident,
+                                                      line):
+    # the loser at the root wins nowhere on its interval: it is dropped
+    # there, so the insert visits one node and the tree keeps one
+    insert, count, visited = loop(domain)
+    for ln in resident:
+        insert(ln)
+    insert(line)
+    assert (count(), visited()) == (1, 1)
