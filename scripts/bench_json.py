@@ -22,7 +22,7 @@ tests compute them with `lichao.bench.run_benchmark`:
 - `c9`: lict's per-op cost at 10^4 and at 10^6 ops on one 2^30 universe
   and their ratio, capped at 2.5.
 
-A run takes about 5 minutes on 2 CPUs.  Compare two files only when they
+A run takes about 4 minutes on 2 CPUs.  Compare two files only when they
 were written back to back on one machine; the file is the trajectory, and
 a speed claim still needs alternating before/after pairs.
 """
