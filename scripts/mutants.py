@@ -90,6 +90,16 @@ CATALOGUE = [
      "elif (dk * r < db) != midf:", "elif l < r:", None),
     ("stop-tests-m", CORE, "elif (dk * r < db) != midf:",
      "elif (dk * m < db) != midf:", None),
+    ("zkw-stop-tests-m", ZKW, "elif (dk * r < db) != midf:",
+     "elif (dk * m < db) != midf:", None),
+    ("persistent-stop-tests-m", PERSISTENT, "elif (dk * r < db) != midf:",
+     "elif (dk * m < db) != midf:", None),
+    # the segment loop skips a child that meets the range: the left one
+    # when the range starts at the midpoint, the right one when it ends
+    # just past it
+    ("segment-left-child-lt", CORE, "if lo <= m:", "if lo < m:", None),
+    ("segment-right-child-plus-one", CORE, "if m < hi:", "if m + 1 < hi:",
+     None),
     # the routing check of audited inserts, its two intervals swapped
     ("routing-intervals-swapped", CORE,
      "self._assert_routing(ck, cb, k, b, m + 1, r)\n"

@@ -502,8 +502,11 @@ class LiChaoTree(_PointerArena):
 
         The range is clamped to the domain; a fully disjoint segment is a
         no-op.  The covered range decomposes into O(log C) canonical node
-        intervals, each receiving an independent line insertion; nodes
-        traversed on the way are allocated empty as needed.
+        intervals, each receiving an independent line insertion.  One loop
+        walks a stack of nodes whose interval meets the range: a covered
+        node takes the line insert, any other counts one visit and pushes
+        the children that meet the range, allocated empty where missing.
+        A child that misses the range is never pushed.
         Raises OverflowError if the line is not 64-bit representable across
         the clamped range.
         """
@@ -519,25 +522,28 @@ class LiChaoTree(_PointerArena):
             return
         # every evaluation below lies in [lo, hi]
         k, b = self._min_form(line, lo, hi)
+        if self._root == NIL:
+            self._root = self._alloc(0, _EMPTY)
         Lc, Rc = self._left, self._right
         visits = 0
-
-        def seg(h: int, l: int, r: int) -> int:
-            nonlocal visits
-            if hi < l or r < lo:
-                return h
-            if h == NIL:
-                h = self._alloc(0, _EMPTY)
+        # nodes whose interval meets [lo, hi]; one that [lo, hi] does not
+        # cover has l < r, since a leaf that meets it is covered
+        stack = [(self._root, d.lo, d.hi)]
+        while stack:
+            h, l, r = stack.pop()
             if lo <= l and r <= hi:
                 visits += self._insert_descend(h, l, r, k, b)
-                return h
+                continue
             visits += 1
             m = (l + r) >> 1
-            Lc[h] = seg(Lc[h], l, m)
-            Rc[h] = seg(Rc[h], m + 1, r)
-            return h
-
-        self._root = seg(self._root, d.lo, d.hi)
+            if lo <= m:
+                if Lc[h] == NIL:
+                    Lc[h] = self._alloc(0, _EMPTY)
+                stack.append((Lc[h], l, m))
+            if m < hi:
+                if Rc[h] == NIL:
+                    Rc[h] = self._alloc(0, _EMPTY)
+                stack.append((Rc[h], m + 1, r))
         self.last_visited = visits
 
     def query(self, x: int) -> Optional[int]:

@@ -38,10 +38,12 @@ def gen_verify_ops(n_ops: int, c: int, seed: int,
     """Random interleaved op sequence over the universe [0, c-1].
 
     Coefficients are drawn small enough that every line satisfies the
-    64-bit representability contract over the universe.  With
-    `segments=True` roughly a third of the ops are segment insertions,
-    with bounds overhanging the universe now and then to exercise
-    clamping.  Raises InvalidDomainError unless [0, c-1] is a `Domain`.
+    64-bit representability contract over the universe: |k| up to
+    min(10^9, I64_MAX // 2c), so |k*x| <= I64_MAX // 2, and |b| up to 10^9
+    on every universe.  With `segments=True` roughly a third of the ops
+    are segment insertions, with bounds overhanging the universe now and
+    then to exercise clamping.  Raises InvalidDomainError unless [0, c-1]
+    is a `Domain`.
     """
     c = Domain(0, c - 1).size
     if n_ops == 0:
@@ -50,7 +52,7 @@ def gen_verify_ops(n_ops: int, c: int, seed: int,
     rng = np.random.Generator(np.random.PCG64(seed))
     kinds = rng.integers(0, 3 if segments else 2, size=n_ops).tolist()
     ks = rng.integers(-bound, bound + 1, size=n_ops).tolist()
-    bs = rng.integers(-bound, bound + 1, size=n_ops).tolist()
+    bs = rng.integers(-10**9, 10**9 + 1, size=n_ops).tolist()
     xs = rng.integers(0, c, size=n_ops).tolist()
     # up to a quarter of the universe on each side, as far as int64 allows
     overhang = min(max(1, c // 4), I64_MAX + 1 - c)

@@ -1,3 +1,4 @@
+import hashlib
 import re
 
 import pytest
@@ -253,6 +254,28 @@ def test_verify_runs_on_every_universe_up_to_int64(capsys, c, segments):
                          "--seed", "2", *segments)
     assert (code, err) == (0, "")
     assert out.startswith("OK:")
+
+
+@pytest.mark.parametrize("c, digest", [
+    (2**11 + 1,
+     "c60b6e3fc7ccf6d91728af7f1f6c78d273d6ec1d48b129feebcf94f37d89db63"),
+    (4096, "9ba904adb14628dbd2d4d1c7091625c014bb3b45085abb7c54867f4aae0a37ea"),
+    (2**20,
+     "1d30cc44e5baba277aaf6cd2cc753d8ef0d2abd9428a816502b8367bf51e81f8"),
+])
+def test_verify_streams_of_benchmark_universes_are_pinned(c, digest):
+    # perfbench's universes: a generator change that moves the benchmark's
+    # check streams fails here (the slope's bound is 10^9 below c = 4.6e9)
+    ops = gen_verify_ops(300, c, 1, segments=True)
+    assert hashlib.sha256(repr(ops).encode()).hexdigest() == digest
+
+
+def test_verify_streams_on_the_64bit_universe_hold_many_lines():
+    # the slope's bound is 0 at c = 2^63; the intercept's stays 10^9
+    ops = gen_verify_ops(300, 2**63, 2, segments=True)
+    assert len({op[1:3] for op in ops if op[0] != "Q"}) > 100
+    report = run_verify(ops, 2**63)
+    assert report.ok, report.failure
 
 
 @pytest.mark.parametrize("c", [0, 2**63 + 1])

@@ -1,4 +1,5 @@
 import functools
+import random
 
 import numpy as np
 import pytest
@@ -205,6 +206,53 @@ def test_segment_is_checked_over_its_clamped_range_only():
     assert t.query(5) == 5 * 10**7
     with pytest.raises(OverflowError):
         t.insert_segment((10**7, 0), 10**12 - 5, 3 * 10**12)
+
+
+def segment_cases(d, rng):
+    """[xl, xr] pairs on `d`: the whole domain, single points, overhangs
+    past each end and past both, and random ranges inside it."""
+    lo, hi, m = d.lo, d.hi, (d.lo + d.hi) >> 1
+    cases = [(lo, hi), (lo, lo), (hi, hi), (m, m), (m, m + 1),
+             (lo - 1, m), (lo - 5, lo), (m, hi + 1), (hi, hi + 5),
+             (lo - 3, hi + 3)]
+    for _ in range(40):
+        a, b = rng.randint(lo, hi), rng.randint(lo, hi)
+        cases.append((min(a, b), max(a, b)))
+    return cases
+
+
+@pytest.mark.parametrize("d", [Domain(0, 0), Domain(0, 1), Domain(-1, 1),
+                               Domain(0, 4095), Domain(I64_MIN, I64_MAX)],
+                         ids=["1", "2", "3", "4096", "int64"])
+def test_segment_decomposes_into_maximal_canonical_nodes(d):
+    # one segment into an empty tree: the nodes that hold its line tile the
+    # clamped range, each is maximal (its parent is not covered), every
+    # empty node lies on a path to one of them, and each node is one visit
+    for xl, xr in segment_cases(d, random.Random(22)):
+        t = LiChaoTree(d)
+        t.insert_segment((0, 7), xl, xr)
+        lo, hi = max(xl, d.lo), min(xr, d.hi)
+        nodes = list(t.iter_nodes())
+        assert t.last_visited == t.node_count == len(nodes)
+        tiles, empty = [], []
+        path = []  # (depth, l, r) of the current node's ancestors
+        for _h, l, r, depth, line in nodes:
+            while path and path[-1][0] >= depth:
+                path.pop()
+            if line is None:
+                empty.append((l, r))
+            else:
+                assert line == (0, 7)
+                if path:
+                    _, pl, pr = path[-1]
+                    assert not lo <= pl <= pr <= hi, (xl, xr, l, r)
+                tiles.append((l, r))
+            path.append((depth, l, r))
+        tiles.sort()
+        assert tiles[0][0] == lo and tiles[-1][1] == hi
+        assert all(a[1] + 1 == b[0] for a, b in zip(tiles, tiles[1:]))
+        for l, r in empty:
+            assert any(l <= a <= b <= r for a, b in tiles), (xl, xr, l, r)
 
 
 def test_audits_report_a_planted_line():
