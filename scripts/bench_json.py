@@ -12,8 +12,8 @@ each of its three workloads at seed `SEED`:
   (`TRACED_COUNTS`): nodes, cells, hull size, and visits per call.  A change
   of tree shape shows there as counts, not only as time.
 
-It then adds the paper's two scalar gates, computed as the acceptance
-tests compute them with `lichao.bench.run_benchmark`:
+It then adds the paper's two scalar gates, from the functions the
+acceptance tests assert on, `lichao.bench.c8_gate` and `c9_gate`:
 
 - `c8_gate`: the 10^6 all-on-hull totals of lict, zkw and cht, their
   checksum, and `zkw_ms / lict_ms`, which must stay at or below 1.  It is
@@ -36,9 +36,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-from lichao import Domain  # noqa: E402
-from lichao.bench import (ensure_consistent, gen_nc_workload,  # noqa: E402
-                          gen_random_workload, run_benchmark)
+from lichao.bench import c8_gate, c9_gate  # noqa: E402
 
 WORKLOADS = ("static-hull", "free-mixed", "verify-fuzz")
 SEED = 1
@@ -73,32 +71,6 @@ def traced_counts(run: dict) -> dict:
             if name in TRACED_COUNTS or name.endswith(TRACED_SUFFIXES)}
 
 
-def c8_gate() -> dict:
-    wl = gen_nc_workload(10**6, "hull", 42)
-    runs = {algo: run_benchmark(wl, algo, 5)
-            for algo in ("lict", "zkw", "cht")}
-    ensure_consistent(list(runs.values()))
-    ratio = runs["zkw"].total_ms / runs["lict"].total_ms
-    return {"n": 10**6, "reps": 5,
-            **{f"{algo}_ms": r.total_ms for algo, r in runs.items()},
-            "checksum": f"{runs['lict'].checksum:#018x}",
-            "zkw_ms_over_lict_ms": ratio, "margin": 1 - ratio,
-            "pass": ratio <= 1}
-
-
-def c9() -> dict:
-    domain = Domain(-(2**29), 2**29 - 1)
-    small = run_benchmark(gen_random_workload(10**4, 42, domain=domain),
-                          "lict", 100)
-    big = run_benchmark(gen_random_workload(10**6, 42, domain=domain),
-                        "lict", 5)
-    per_small = 1e3 * small.total_ms / small.n
-    per_big = 1e3 * big.total_ms / big.n
-    ratio = per_big / per_small
-    return {"us_per_op_1e4": per_small, "us_per_op_1e6": per_big,
-            "ratio": ratio, "cap": 2.5, "pass": ratio < 2.5}
-
-
 def main(argv) -> int:
     if len(argv) != 1 or not argv[0].isdigit():
         raise SystemExit("usage: bench_json.py <n>  (writes BENCH_<n>.json)")
@@ -112,7 +84,7 @@ def main(argv) -> int:
     out = {"seed": SEED, "seconds": SECONDS,
            "started": time.strftime("%Y-%m-%dT%H:%M:%SZ",
                                     time.gmtime(start)),
-           "workloads": workloads, "c8_gate": c8_gate(), "c9": c9(),
+           "workloads": workloads, "c8_gate": c8_gate(), "c9": c9_gate(),
            "wall_s": time.time() - start}
     path = ROOT / f"BENCH_{argv[0]}.json"
     path.write_text(json.dumps(out, indent=1, sort_keys=True) + "\n")

@@ -79,6 +79,15 @@ CATALOGUE = [
      None),
     ("empty-line-routed", CORE, "elif (dk * r < db) != midf:",
      "elif (dk * r < db) != midf or b == _EMPTY:", None),
+    # the empty tree's root, node 0: holding a line, missing from the
+    # audited routing record, and a forest whose version 0 has no root
+    ("empty-root-holds-a-line", CORE, "self._b: list = [_EMPTY]",
+     "self._b: list = [I64_MAX]", None),
+    ("routed-record-without-root", CORE,
+     "self._routed = [[]] if audited else None",
+     "self._routed = [] if audited else None", None),
+    ("forest-version-zero-nil", PERSISTENT, "self._roots: list = [0]",
+     "self._roots: list = [NIL]", None),
     # the stop: a loser that wins nowhere on its node's interval routed on
     # as before the stop (the leaf and the displaced empty line still
     # stop), in each loop; and a stop that tests m where it must test r

@@ -302,6 +302,39 @@ def ensure_consistent(results) -> None:
         raise ChecksumMismatchError(f"checksum divergence: {detail}")
 
 
+def c8_gate() -> dict:
+    """The paper's C8 gate: lict, zkw and cht on the 10^6-op all-on-hull
+    static universe, 5 reps each; `pass` when zkw is no slower than lict.
+    Raises ChecksumMismatchError if their checksums differ."""
+    wl = gen_nc_workload(10**6, "hull", 42)
+    runs = {algo: run_benchmark(wl, algo, 5)
+            for algo in ("lict", "zkw", "cht")}
+    ensure_consistent(list(runs.values()))
+    ratio = runs["zkw"].total_ms / runs["lict"].total_ms
+    return {"n": 10**6, "reps": 5,
+            **{f"{algo}_ms": r.total_ms for algo, r in runs.items()},
+            "checksum": f"{runs['lict'].checksum:#018x}",
+            "zkw_ms_over_lict_ms": ratio, "margin": 1 - ratio,
+            "pass": ratio <= 1}
+
+
+def c9_gate() -> dict:
+    """The paper's C9 gate: lict's us per op on random workloads of 10^4
+    and 10^6 ops over one 2^30 universe; `pass` when their ratio stays
+    below 2.5.  The short leg's 100 reps take about as long as one of the
+    long leg, so its mean measures per-op cost rather than warm-up."""
+    domain = Domain(-(2**29), 2**29 - 1)
+    small = run_benchmark(gen_random_workload(10**4, 42, domain=domain),
+                          "lict", 100)
+    big = run_benchmark(gen_random_workload(10**6, 42, domain=domain),
+                        "lict", 5)
+    per_small = 1e3 * small.total_ms / small.n
+    per_big = 1e3 * big.total_ms / big.n
+    ratio = per_big / per_small
+    return {"us_per_op_1e4": per_small, "us_per_op_1e6": per_big,
+            "ratio": ratio, "cap": 2.5, "pass": ratio < 2.5}
+
+
 def append_csv(results, path) -> None:
     """Append one row per result, writing the fixed header first if the
     file is new or empty."""

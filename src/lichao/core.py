@@ -17,7 +17,8 @@ domain by 1/eps.
 
 The node arena and its reads from a root handle (scalar walk, pre-order
 traversal, kernel entry) live once in `_PointerArena`, shared by
-`LiChaoTree` and `PersistentForest` (one root per version).
+`LiChaoTree` and `PersistentForest` (one root per version).  The empty
+tree is node 0, an empty node, so NIL only ever means "no child".
 
 Batch queries.  `LiChaoTree.query_many(xs)` equals
 `[tree.query(x) for x in xs]`.  Long runs go through `_walk_batch`, a numpy
@@ -200,10 +201,10 @@ def _walk_batch(K, B, Lc, Rc, root: int, lo: int, hi: int, xs,
 
     `K`, `B`, `Lc`, `Rc` are the parallel arena lists of a tree whose node
     intervals split [l, r] at m = floor((l+r)/2), `root` the handle of its
-    root over [lo, hi].  An empty node holds the line (0, _EMPTY); leaves
-    have no children.  The arena is copied into numpy arrays on every call
-    and nothing is kept; the contract (module docstring) keeps [lo, hi],
-    every k and b but _EMPTY and every answer in int64.
+    root over [lo, hi], never NIL.  An empty node holds the line (0, _EMPTY),
+    so an empty tree answers None.  The arena is copied into numpy arrays
+    on every call and nothing is kept; the contract (module docstring)
+    keeps [lo, hi], every k and b but _EMPTY and every answer in int64.
     Returns the answers in the caller's orientation (`neg` negates them),
     or None when `_kernel_xs` declines xs.
     """
@@ -213,8 +214,6 @@ def _walk_batch(K, B, Lc, Rc, root: int, lo: int, hi: int, xs,
     n = len(x)
     if n == 0:
         return []
-    if root == NIL:
-        return [None] * n
     # one dummy node at index -1 == NIL: it holds (0, I64_MAX), which never
     # lowers a minimum, and its children are NIL, so lanes that leave the
     # tree stay on it
@@ -275,11 +274,13 @@ def _walk_batch(K, B, Lc, Rc, root: int, lo: int, hi: int, xs,
 
 
 class _PointerArena:
-    """Parallel node lists `_k`, `_b`, `_left`, `_right` indexed by handle
-    (NIL = no node; an empty node holds (0, _EMPTY)), and the reads
-    that walk them from a root: `LiChaoTree` has one root,
-    `PersistentForest` one per version.  A node's interval is implicit from
-    [lo, hi] and the path taken; lines are stored min-oriented.
+    """Parallel node lists `_k`, `_b`, `_left`, `_right` indexed by handle,
+    and the reads that walk them from a root: `LiChaoTree` has one root,
+    `PersistentForest` one per version.  The lists start with node 0, the
+    empty node (0, _EMPTY) without children, which is the empty tree's
+    root; a child pointer is a handle or NIL for "no child", and a root is
+    never NIL.  A node's interval is implicit from [lo, hi] and the path
+    taken; lines are stored min-oriented.
     """
 
     def __init__(self, domain: Domain, orientation: str):
@@ -288,10 +289,10 @@ class _PointerArena:
         self.domain = domain
         self.orientation = orientation
         self._neg = orientation == MAX
-        self._k: list = []
-        self._b: list = []
-        self._left: list = []
-        self._right: list = []
+        self._k: list = [0]
+        self._b: list = [_EMPTY]
+        self._left: list = [NIL]
+        self._right: list = [NIL]
         #: nodes touched by the most recent scalar query (or tree insert)
         self.last_visited = 0
 
@@ -337,8 +338,6 @@ class _PointerArena:
         """Yield (handle, l, r, depth, line) for every node `root` reaches,
         in pre-order; `line` is the stored (k, b) in internal
         (min-oriented) form, or None for an empty node."""
-        if root == NIL:
-            return
         K, B = self._k, self._b
         Lc, Rc = self._left, self._right
         stack = [(root, self.domain.lo, self.domain.hi, 0)]
@@ -367,10 +366,11 @@ class _PointerArena:
 class LiChaoTree(_PointerArena):
     """Lazily allocated lower/upper-envelope tree over an integer domain.
 
-    Nodes are allocated on demand in the `_PointerArena` lists; children
-    partition the parent interval into [l, m] and [m+1, r] with
-    m = floor((l+r)/2); a losing line that wins nowhere on its node's
-    interval, such as the loser at a single-coordinate leaf, is dropped.
+    Node 0 is the root, empty in a new tree; others are allocated on demand
+    in the `_PointerArena` lists.  Children partition the parent interval
+    into [l, m] and [m+1, r] with m = floor((l+r)/2); a losing line that
+    wins nowhere on its node's interval, such as the loser at a
+    single-coordinate leaf, is dropped.
 
     Ties at a midpoint keep the resident line and route the incoming line
     down; this makes duplicate insertions harmless.
@@ -393,20 +393,20 @@ class LiChaoTree(_PointerArena):
     def __init__(self, domain: Domain, orientation: str = MIN,
                  audited: bool = False):
         super().__init__(domain, orientation)
-        self._root = NIL
+        self._root = 0
         # routing record (only when audited): per node, the lines routed
         # through it, flat as k, b, k, b, ...: kept (k, b) tuples would be
         # tracked by the garbage collector and trigger its passes, which
         # also walk the other engines' lists during run_verify
-        self._routed = [] if audited else None
+        self._routed = [[]] if audited else None
 
     @property
     def node_count(self) -> int:
+        """Allocated nodes: 1 for an empty tree, its empty root, node 0."""
         return len(self._k)
 
     def stats(self) -> TreeStats:
-        return TreeStats(max((n[3] for n in self._nodes(self._root)),
-                             default=0))
+        return TreeStats(max(n[3] for n in self._nodes(self._root)))
 
     def _alloc(self, k: int, b: int) -> int:
         # (0, _EMPTY) makes an empty node
@@ -493,8 +493,6 @@ class LiChaoTree(_PointerArena):
         """
         d = self.domain
         k, b = self._min_form(line, d.lo, d.hi)
-        if self._root == NIL:
-            self._root = self._alloc(0, _EMPTY)
         self.last_visited = self._insert_descend(self._root, d.lo, d.hi, k, b)
 
     def insert_segment(self, line, xl: int, xr: int) -> None:
@@ -522,8 +520,6 @@ class LiChaoTree(_PointerArena):
             return
         # every evaluation below lies in [lo, hi]
         k, b = self._min_form(line, lo, hi)
-        if self._root == NIL:
-            self._root = self._alloc(0, _EMPTY)
         Lc, Rc = self._left, self._right
         visits = 0
         # nodes whose interval meets [lo, hi]; one that [lo, hi] does not

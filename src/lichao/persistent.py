@@ -15,8 +15,9 @@ query walk, the node traversal and the kernel entry are shared with
 versions and the path-copying insert.  `query_many(version, xs)` equals
 `[query(version, x) for x in xs]`.  The kernel gets only the nodes the
 queried version reaches, renumbered, since the arena also holds every
-older version, and the size rule weighs the version by its bound of
-`version` nodes: each insert adds at most one node to the tree it copies.
+older version, and the size rule weighs version v by v: it holds at most
+max(v, 1) nodes, version 0 being the arena's empty node 0, and each insert
+adds at most one node to the tree it copies.
 The arena never holds fewer: each insert appends at least one node.
 
 Concurrency: insertions serialize (they append to the shared arena).
@@ -37,14 +38,14 @@ class UnknownVersionError(ValueError):
 class PersistentForest(_PointerArena):
     """Forest of immutable envelope-tree versions over one domain.
 
-    Version 0 is the empty tree.  `insert(base, line)` returns a new dense
-    integer version id; the base version's answers are untouched.  There is
-    no garbage collection of unreachable versions.
+    Version 0 is the empty tree, the arena's node 0.  `insert(base, line)`
+    returns a new dense integer version id; the base version's answers are
+    untouched.  There is no garbage collection of unreachable versions.
     """
 
     def __init__(self, domain: Domain, orientation: str = MIN):
         super().__init__(domain, orientation)
-        self._roots: list = [NIL]  # version id -> root handle
+        self._roots: list = [0]  # version id -> root handle
         #: nodes appended by the most recent insert
         self.last_appended = 0
 
@@ -150,12 +151,11 @@ class PersistentForest(_PointerArena):
         K, B = self._k, self._b
         return ([K[h] for h in order], [B[h] for h in order],
                 [number[Lc[h]] for h in order],
-                [number[Rc[h]] for h in order], 0 if order else NIL)
+                [number[Rc[h]] for h in order], 0)
 
     def snapshot_bytes(self, version: int) -> bytes:
         """Canonical byte serialization of a version's reachable nodes."""
         self._check_version(version)
-        return ";".join(
-            f"{h}:{k},{b},{self._left[h]},{self._right[h]}"
-            for h, _l, _r, _depth, (k, b) in self._nodes(self._roots[version])
-        ).encode()
+        K, B, Lc, Rc = self._k, self._b, self._left, self._right
+        return ";".join(f"{h}:{K[h]},{B[h]},{Lc[h]},{Rc[h]}" for h, *_ in
+                        self._nodes(self._roots[version])).encode()

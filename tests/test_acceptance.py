@@ -12,8 +12,7 @@ import numpy as np
 import pytest
 
 from lichao import Domain, LiChaoTree, LineContainer, PersistentForest
-from lichao.bench import (ensure_consistent, gen_nc_workload,
-                          gen_random_workload, run_benchmark)
+from lichao.bench import c8_gate, c9_gate
 from lichao.verify import gen_verify_ops, run_verify
 
 FUZZ_C = 4096
@@ -163,31 +162,17 @@ def test_c7_dual_parabola_hull_complete():
 
 
 def test_c8_static_universe_relative_performance():
-    wl = gen_nc_workload(10**6, "hull", 42)
-    results = {algo: run_benchmark(wl, algo, 5)
-               for algo in ("lict", "zkw", "cht")}
-    ensure_consistent(list(results.values()))
-    lict_ms = results["lict"].total_ms
-    zkw_ms = results["zkw"].total_ms
+    gate = c8_gate()
     _verdict("C8 N=C=10^6 all-on-hull: zkw <= lict, checksums agree",
-             zkw_ms <= lict_ms,
-             f"zkw {zkw_ms:.0f}ms vs lict {lict_ms:.0f}ms vs "
-             f"cht {results['cht'].total_ms:.0f}ms, "
-             f"checksum {results['lict'].checksum:#018x}")
+             gate["pass"],
+             f"zkw {gate['zkw_ms']:.0f}ms vs lict {gate['lict_ms']:.0f}ms vs "
+             f"cht {gate['cht_ms']:.0f}ms, checksum {gate['checksum']}")
 
 
 def test_c9_per_op_cost_independent_of_n():
-    domain = Domain(-(2**29), 2**29 - 1)  # fixed C = 2^30
-    # 100 reps of the short leg take about as long as one rep of the long
-    # one, so its mean measures per-op cost rather than warm-up
-    small = run_benchmark(gen_random_workload(10**4, 42, domain=domain),
-                          "lict", 100)
-    big = run_benchmark(gen_random_workload(10**6, 42, domain=domain),
-                        "lict", 5)
-    per_small = small.total_ms / small.n
-    per_big = big.total_ms / big.n
-    ratio = per_big / per_small
+    gate = c9_gate()
     _verdict("C9 per-op cost flat in n at fixed universe",
-             ratio < 2.5,
-             f"{per_small * 1e3:.2f}us/op at 10^4 vs "
-             f"{per_big * 1e3:.2f}us/op at 10^6, ratio {ratio:.2f} (cap 2.5)")
+             gate["pass"],
+             f"{gate['us_per_op_1e4']:.2f}us/op at 10^4 vs "
+             f"{gate['us_per_op_1e6']:.2f}us/op at 10^6, "
+             f"ratio {gate['ratio']:.2f} (cap {gate['cap']})")

@@ -1,13 +1,16 @@
 import hashlib
+import random
 import re
 
 import pytest
 
 import lichao.core
-from lichao import (LiChaoTree, LineContainer, PersistentForest,
-                    RoutingDominanceError, ZkwTree)
-from lichao.bench import ZKW_MAX_UNIVERSE, WorkloadMismatchError
+from lichao import (I64_MAX, Domain, LiChaoTree, LineContainer,
+                    PersistentForest, RoutingDominanceError, ZkwTree)
+from lichao.bench import (ZKW_MAX_UNIVERSE, WorkloadMismatchError,
+                          engine_mismatch)
 from lichao.cli import main, parse_ops_file
+from lichao.core import NIL
 from lichao.verify import gen_verify_ops, run_verify
 
 
@@ -276,6 +279,32 @@ def test_verify_streams_on_the_64bit_universe_hold_many_lines():
     assert len({op[1:3] for op in ops if op[0] != "Q"}) > 100
     report = run_verify(ops, 2**63)
     assert report.ok, report.failure
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("c", [4096, 2**20, 2**63])
+def test_run_verify_routes_full_line_losers_right(c, seed):
+    # gen_verify_ops lines cross a few units from x = 0, so their losers
+    # go left; lines y = k*(x - x0) + e with x0 in the right half cross
+    # there, and a loser that is dropped instead of routed right gives a
+    # wrong answer at a query in that half
+    rng = random.Random(seed)
+    bound = max(1, min(1000, I64_MAX // (2 * c)))
+    ops = []
+    for _ in range(400):
+        k = rng.randint(-bound, bound)
+        x0 = rng.randint(c // 2, c - 1)
+        ops += [("A", k, rng.randint(-10**6, 0) - k * x0),
+                ("Q", rng.randint(c // 2, c - 1))]
+    report = run_verify(
+        ops, c, include_zkw=engine_mismatch("zkw", c, False) is None,
+        include_cht=True, include_persistent=True)
+    assert report.ok, report.failure
+    tree = LiChaoTree(Domain(0, c - 1))
+    for op in ops:
+        if op[0] == "A":
+            tree.insert_line(op[1:])
+    assert any(h != NIL for h in tree._right)
 
 
 @pytest.mark.parametrize("c", [0, 2**63 + 1])

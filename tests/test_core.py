@@ -24,8 +24,11 @@ def build(domain, lines, **kw):
 
 def test_new_tree_is_empty():
     t = LiChaoTree(Domain(0, 8))
-    assert t.node_count == 0
+    # the empty tree is one node, the root, holding no line
+    assert t.node_count == 1
+    assert list(t.iter_nodes()) == [(0, 0, 8, 0, None)]
     assert all(t.query(x) is None for x in range(0, 9))
+    assert t.last_visited == 1
     assert t.stats().max_depth_observed == 0
 
 
@@ -196,7 +199,7 @@ def test_segment_reversed_bounds_raise():
     t = LiChaoTree(Domain(0, 1023))
     with pytest.raises(InvalidSegmentError):
         t.insert_segment((1, 1), 9, 3)
-    assert t.node_count == 0
+    assert t.node_count == LiChaoTree(Domain(0, 1023)).node_count
 
 
 def test_segment_is_checked_over_its_clamped_range_only():
@@ -498,7 +501,7 @@ def test_coefficients_and_domains_outside_int64_are_rejected_up_front():
     t = LiChaoTree(Domain(0, 0))
     with pytest.raises(OverflowError):
         t.insert_line((2**70, 5))
-    assert t.node_count == 0
+    assert t.node_count == LiChaoTree(Domain(0, 0)).node_count
     for lo, hi in ((-2**70, 2**70), (0, 2**63), (I64_MIN - 1, 0)):
         with pytest.raises(InvalidDomainError):
             Domain(lo, hi)

@@ -23,7 +23,9 @@ def rebuild_core(lines):
 def test_version_zero_is_empty():
     f = PersistentForest(DOM)
     assert f.version_count == 1
-    assert f.arena_size == 0
+    # version 0 is one node, the arena's empty node 0
+    assert f.arena_size == 1
+    assert f.snapshot_bytes(0) == f"0:0,{2**63},-1,-1".encode()
     assert all(f.query(0, x) is None for x in (0, 17, 1023))
 
 
@@ -174,7 +176,8 @@ def test_query_many_max_orientation_and_subclass_query():
     for bad in ((0, 2**63), (0, I64_MIN)):
         with pytest.raises(OverflowError):
             f.insert(0, bad)
-    assert f.version_count == 1 and f.arena_size == 0
+    fresh = PersistentForest(Domain(0, 1), orientation="max")
+    assert f.version_count == 1 and f.arena_size == fresh.arena_size
     for good in ((0, I64_MIN + 1), (0, I64_MAX)):
         v = f.insert(0, good)
         xs = [0, 1] * 65
@@ -192,8 +195,9 @@ def test_query_many_max_orientation_and_subclass_query():
 
 
 def test_query_many_size_rule_weighs_the_version(monkeypatch):
-    # the arena outgrows 300 xs * 11 levels, but version v holds at most v
-    # nodes (each insert adds at most one), so the run takes the kernel;
+    # the arena outgrows 300 xs * 11 levels, but version v holds at most
+    # max(v, 1) nodes (version 0 is one empty node, and each insert adds at
+    # most one), so the run takes the kernel;
     # line a is the only one that wins at x = a, so no insert is dropped
     # early and each copies a long path
     f = PersistentForest(DOM)
