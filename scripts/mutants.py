@@ -45,6 +45,16 @@ BENCH = "src/lichao/bench.py"
 VERIFY = "src/lichao/verify.py"
 ORACLE = "src/lichao/oracle.py"
 
+
+def skipped_bound(name, check, indent):
+    """A mutant whose `run_verify` never records bound `name`: its `check`
+    made False.  `indent` is the indentation of the `bounds.append` line,
+    which names the bound, so the text occurs once."""
+    tail = f':\n{" " * indent}bounds.append((idx, "{name}",'
+    return (f"verify-skips-{name}", VERIFY, check + tail, "False" + tail,
+            None)
+
+
 # (name, file, old, new, reason it is equivalent or None)
 CATALOGUE = [
     # tie-breaks: they change which line a node stores, not the answers
@@ -178,6 +188,24 @@ CATALOGUE = [
      "if got == expected and forest is not None:", "if False:", None),
     ("verify-bound-prefix-dropped", VERIFY, "ops[:bounds[0][0] + 1]", "ops",
      None),
+    # run_verify with one bound's check skipped
+    skipped_bound("lict-insert-visits", "tree.last_visited > line_limit", 20),
+    skipped_bound("lict-node-count", "tree.node_count > report.line_inserts",
+                  20),
+    skipped_bound("zkw-insert-visits", "zkw.last_visited > line_limit", 24),
+    skipped_bound("persistent-appended", "forest.last_appended > line_limit",
+                  24),
+    skipped_bound("lict-segment-visits", "tree.last_visited > seg_limit", 20),
+    skipped_bound("lict-query-visits", "tree.last_visited > line_limit", 20),
+    skipped_bound("zkw-query-visits", "zkw.last_visited > line_limit", 24),
+    # the batch check accepting a decline where the arena holds no empty
+    # node: any decline, the forest's past version 0, lict's
+    ("verify-accepts-every-decline", VERIFY,
+     "if got is None and must_answer:", "if got is None and False:", None),
+    ("verify-forest-decline-accepted", VERIFY, "latest != 0))", "False))",
+     None),
+    ("verify-lict-decline-accepted", VERIFY, "_EMPTY not in tree._b",
+     "False", None),
     # equivalent mutants
     ("segment-clamp-ge", CORE, "lo = xl if xl > d.lo else d.lo",
      "lo = xl if xl >= d.lo else d.lo",

@@ -70,8 +70,9 @@ def format_op(op) -> str:
 
 
 def cmd_bench(args) -> int:
-    if args.n < 2 or args.reps < 1:
-        print("error: need --n >= 2 and --reps >= 1", file=sys.stderr)
+    if args.n < 2 or args.reps < 1 or args.seed < 0:
+        print("error: need --n >= 2, --reps >= 1 and --seed >= 0",
+              file=sys.stderr)
         return 2
     why = engine_mismatch(
         args.algo, workload_domain(args.n, args.dist, args.nc).size, False)
@@ -94,8 +95,8 @@ def cmd_bench(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if args.ops < 0:
-        print("error: need --ops >= 0", file=sys.stderr)
+    if args.ops < 0 or args.seed < 0:
+        print("error: need --ops >= 0 and --seed >= 0", file=sys.stderr)
         return 2
     ops = gen_verify_ops(args.ops, args.c, args.seed, segments=args.segments)
     segments = any(op[0] == "S" for op in ops)

@@ -31,9 +31,10 @@ evaluation lies in int64 and the wrapped result equals it.  The scalar
 loop answers instead when `_takes_kernel` says no: the run is short (fewer
 than `_BATCH_MIN` xs), copying the nodes or cells the kernel would read
 costs more than `len(xs)` paths of scalar steps, or a subclass overrides
-`query`; and when `_kernel_xs` declines xs that are not a 1-D integer
-array inside the domain (an out-of-domain x then raises from the scalar
-loop).  `ZkwTree.query_many` takes the same two helpers.
+`query`; and when the kernel declines xs that are not a 1-D integer array
+inside the domain (an out-of-domain x then raises from the scalar loop)
+or an arena with an empty node (only the scalar walk answers None).
+`ZkwTree.query_many` takes the same two helpers.
 
 Concurrency: mutation requires exclusive access (single writer).  Queries
 are read-only and may run concurrently with each other, but not with a
@@ -55,8 +56,8 @@ MAX = "max"
 NIL = -1
 
 # the intercept of the empty line (0, _EMPTY) that an empty node holds: one
-# above I64_MAX, so it loses to every in-contract line at every point and is
-# never an answer
+# above I64_MAX, so it loses to every in-contract line at every point, is
+# never an answer, and does not fit the batch kernel's int64 arrays
 _EMPTY = 1 << 63
 
 # runs shorter than this are answered by the scalar loop: the kernel's
@@ -201,12 +202,11 @@ def _walk_batch(K, B, Lc, Rc, root: int, lo: int, hi: int, xs,
 
     `K`, `B`, `Lc`, `Rc` are the parallel arena lists of a tree whose node
     intervals split [l, r] at m = floor((l+r)/2), `root` the handle of its
-    root over [lo, hi], never NIL.  An empty node holds the line (0, _EMPTY),
-    so an empty tree answers None.  The arena is copied into numpy arrays
+    root over [lo, hi], never NIL.  The arena is copied into numpy arrays
     on every call and nothing is kept; the contract (module docstring)
-    keeps [lo, hi], every k and b but _EMPTY and every answer in int64.
-    Returns the answers in the caller's orientation (`neg` negates them),
-    or None when `_kernel_xs` declines xs.
+    keeps [lo, hi], every k and b and every answer in int64.  Returns the
+    answers in the caller's orientation (`neg` negates them), or None when
+    `_kernel_xs` declines xs or an intercept is an empty node's _EMPTY.
     """
     x = _kernel_xs(xs, lo, hi)
     if x is None:
@@ -222,17 +222,13 @@ def _walk_batch(K, B, Lc, Rc, root: int, lo: int, hi: int, xs,
     bb = np.empty(size, np.int64)
     kk[-1] = 0
     bb[-1] = I64_MAX
-    kk[:-1] = K
-    has_line = None
     try:
         bb[:-1] = B
     except OverflowError:
-        # _EMPTY does not fit int64: empty nodes get the dummy's intercept,
-        # and has_line marks where a lane really met a line
-        icepts = np.array(B, dtype=object)
-        has_line = np.append(icepts != _EMPTY, False)
-        icepts[~has_line[:-1]] = I64_MAX
-        bb[:-1] = icepts
+        # only an empty node's _EMPTY does not fit int64: the scalar walk,
+        # which answers None where no line covers x, takes the run
+        return None
+    kk[:-1] = K
     child = np.empty(2 * size, np.int64)  # child[2h] left, child[2h+1] right
     child[0:-2:2] = Lc
     child[1:-2:2] = Rc
@@ -243,14 +239,11 @@ def _walk_batch(K, B, Lc, Rc, root: int, lo: int, hi: int, xs,
     width = np.full(n, hi - lo, np.uint64)
     cur = np.full(n, root, np.int64)
     best = np.full(n, I64_MAX, np.int64)
-    met = None if has_line is None else np.zeros(n, bool)
     while True:
         v = kk[cur]
         v *= x
         v += bb[cur]
         np.minimum(best, v, out=best)
-        if met is not None:
-            met |= has_line[cur]
         # m = l + half; going right moves l to m + 1, and either child's
         # width is (width - right) >> 1
         half = width >> 1
@@ -267,10 +260,7 @@ def _walk_batch(K, B, Lc, Rc, root: int, lo: int, hi: int, xs,
             break
     if neg:
         np.negative(best, out=best)
-    vals = best.tolist()
-    if met is None:
-        return vals
-    return [v if m else None for v, m in zip(vals, met.tolist())]
+    return best.tolist()
 
 
 class _PointerArena:
@@ -358,7 +348,7 @@ class _PointerArena:
 
     def _kernel(self, root: int, xs) -> "Optional[list]":
         """`_walk_batch` from `root`: the kernel's one entry, for
-        `query_many` and for `run_verify`, which fails a decline (None)."""
+        `query_many` and for `run_verify`, which checks its declines."""
         d = self.domain
         return _walk_batch(*self._arena(root), d.lo, d.hi, xs, self._neg)
 
@@ -550,10 +540,9 @@ class LiChaoTree(_PointerArena):
         """Envelope values at every x of the sequence `xs`.
 
         Equals `[self.query(x) for x in xs]`, errors included.  Long runs
-        take the numpy level-walk kernel; short runs, runs on an arena
-        large against them, subclasses overriding `query` and xs that are
-        not integers inside the domain take the scalar loop (module
-        docstring).  The kernel path leaves `last_visited` as it was.
+        take the numpy level-walk kernel, the others the scalar loop, as
+        the module docstring says.  The kernel path leaves `last_visited`
+        as it was.
         """
         got = None
         if _takes_kernel(self, LiChaoTree, len(xs),

@@ -44,6 +44,28 @@ def test_hull_workload_alternates():
     assert hull.hull_size() == 10
 
 
+def test_hull_workload_ends_with_the_leftover_query_for_odd_n():
+    assert [op[0] for op in gen_hull_workload(7, 3).ops] == list("AQAQAQQ")
+
+
+def test_generators_refuse_fewer_than_two_ops_and_unknown_distributions():
+    with pytest.raises(ValueError, match="unknown distribution 'zipf'"):
+        workload_domain(10, "zipf", True)
+    for gen in (lambda: gen_random_workload(1, 1),
+                lambda: gen_hull_workload(1),
+                lambda: gen_nc_workload(1, "hull", 1)):
+        with pytest.raises(ValueError, match="at least 2 ops"):
+            gen()
+
+
+def test_run_benchmark_refuses_an_unknown_algo_and_no_reps():
+    wl = gen_random_workload(10, 1)
+    with pytest.raises(WorkloadMismatchError, match="unknown algo"):
+        run_benchmark(wl, "persistent", 1)
+    with pytest.raises(ValueError, match="reps must be >= 1"):
+        run_benchmark(wl, "lict", 0)
+
+
 def test_hull_workload_rejects_giant_sizes():
     with pytest.raises(OverflowError):
         gen_hull_workload(2**35)

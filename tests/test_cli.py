@@ -9,7 +9,7 @@ from lichao import (I64_MAX, Domain, LiChaoTree, LineContainer,
                     PersistentForest, RoutingDominanceError, ZkwTree)
 from lichao.bench import (ZKW_MAX_UNIVERSE, WorkloadMismatchError,
                           engine_mismatch)
-from lichao.cli import main, parse_ops_file
+from lichao.cli import OpsFileError, main, parse_ops_file
 from lichao.core import NIL
 from lichao.verify import gen_verify_ops, run_verify
 
@@ -143,6 +143,23 @@ def test_replay_malformed_line_reports_lineno(tmp_path, capsys):
     code, _, err = run(capsys, "replay", "--file", path, "--domain", "0", "8")
     assert code == 2
     assert ":2:" in err
+
+
+def test_replay_unknown_op_tag_rejected(tmp_path, capsys):
+    path = write(tmp_path, "ops.txt", "A 1 0\nD 1 0\n")
+    with pytest.raises(OpsFileError, match="ops.txt:2: unknown op 'D'"):
+        parse_ops_file(path)
+    code, out, err = run(capsys, "replay", "--file", path, "--domain", "0",
+                         "8")
+    assert (code, out) == (2, "")
+    assert "unknown op 'D'" in err
+
+
+def test_replay_missing_file_is_usage_error(tmp_path, capsys):
+    code, out, err = run(capsys, "replay", "--file",
+                         str(tmp_path / "none.ops"), "--domain", "0", "8")
+    assert (code, out) == (2, "")
+    assert "No such file" in err
 
 
 def test_replay_wrong_arity_rejected(tmp_path, capsys):
@@ -394,32 +411,99 @@ def test_verify_fails_a_kernel_that_declines(monkeypatch, capsys):
     assert "lict-batch kernel declined" in err
 
 
-def test_verify_prefixes_a_bound_failure(monkeypatch, capsys):
-    # the prefix ends at the op of the first violation
-    orig = ZkwTree.insert_line
-
-    def one_cell_past_a_leaf(self, line):
-        # a count above the h + 1 cells of a root-to-leaf path, on every
-        # insert: one added to the true count trips no bound on a stream
-        # whose inserts stop above the leaf level
-        orig(self, line)
-        self.last_visited = self._p.bit_length() + 1
-
-    monkeypatch.setattr(ZkwTree, "insert_line", one_cell_past_a_leaf)
-    ops = gen_verify_ops(300, 64, 1)
-    report = run_verify(ops, 64, include_zkw=True)
+def test_verify_fails_a_forest_kernel_that_declines(monkeypatch):
+    # on a full-line run the latest version holds no empty node, so a
+    # decline of the forest's kernel alone fails the run
+    monkeypatch.setattr(PersistentForest, "_kernel", lambda *args: None)
+    ops = gen_verify_ops(600, 256, 4)
+    report = run_verify(ops, 256, include_persistent=True)
     assert not report.ok
-    first = report.bound_violations[0]
-    assert first[1] == "zkw-insert-visits"
-    assert report.failing_prefix == ops[:first[0] + 1]
+    assert report.failure.startswith(
+        "final state: persistent-batch kernel declined")
+    assert report.failing_prefix == ops
+
+
+def test_verify_accepts_a_decline_on_an_arena_with_an_empty_node(
+        monkeypatch):
+    # before any insert both arenas are the empty node 0, and a segment
+    # run leaves pass-through nodes empty: the kernels decline there, and
+    # the run is OK
+    got = []
+    kernel = lichao.core._walk_batch
+
+    def recording(*args):
+        got.append(kernel(*args))
+        return got[-1]
+
+    monkeypatch.setattr(lichao.core, "_walk_batch", recording)
+    report = run_verify([("Q", 1), ("Q", 6)], 8, include_persistent=True)
+    assert report.ok, report.failure
+    assert got == [None, None]
+    got.clear()
+    report = run_verify(gen_verify_ops(300, 64, 1, segments=True), 64)
+    assert report.ok, report.failure
+    assert got == [None]
+
+
+def one_past(method, counter, limit):
+    """`method` followed by setting `counter` one past the bound
+    `limit(domain)` on every call."""
+    def past(self, *args):
+        got = method(self, *args)
+        setattr(self, counter, limit(self.domain) + 1)
+        return got
+    return past
+
+
+def path_len(d):  # nodes or cells on one root-to-leaf path
+    return d.depth_bound + 1
+
+
+# bound: (class, attribute, replacement, segment stream, tag of the ops
+# that the bound checks)
+BOUND_PATCHES = {
+    "lict-insert-visits": (LiChaoTree, "insert_line", one_past(
+        LiChaoTree.insert_line, "last_visited", path_len), False, "A"),
+    # the first insert fills the root: one node for one line
+    "lict-node-count": (LiChaoTree, "node_count",
+                        property(lambda self: len(self._k) + 1), False, "A"),
+    "zkw-insert-visits": (ZkwTree, "insert_line", one_past(
+        ZkwTree.insert_line, "last_visited", path_len), False, "A"),
+    "persistent-appended": (PersistentForest, "insert", one_past(
+        PersistentForest.insert, "last_appended", path_len), False, "A"),
+    "lict-segment-visits": (LiChaoTree, "insert_segment", one_past(
+        LiChaoTree.insert_segment, "last_visited",
+        lambda d: 4 * path_len(d) ** 2), True, "S"),
+    "lict-query-visits": (LiChaoTree, "query", one_past(
+        LiChaoTree.query, "last_visited", path_len), False, "Q"),
+    "zkw-query-visits": (ZkwTree, "query", one_past(
+        ZkwTree.query, "last_visited", path_len), False, "Q"),
+}
+
+
+@pytest.mark.parametrize("bound", list(BOUND_PATCHES))
+def test_verify_prefixes_a_bound_failure(monkeypatch, capsys, bound):
+    # one counter one past its bound on every op it checks: the first
+    # violation is at the first such op, and the prefix ends there
+    cls, name, patch, segments, tag = BOUND_PATCHES[bound]
+    monkeypatch.setattr(cls, name, patch)
+    ops = gen_verify_ops(300, 64, 1, segments=segments)
+    first = next(i for i, op in enumerate(ops) if op[0] == tag)
+    report = run_verify(ops, 64, include_zkw=not segments,
+                        include_persistent=not segments)
+    assert not report.ok
+    assert report.bound_violations[0][:2] == (first, bound)
+    assert "structural bound violation" in report.failure
+    assert bound in report.failure
+    assert report.failing_prefix == ops[:first + 1]
     code, out, err = run(capsys, "verify", "--ops", "300", "--c", "64",
-                         "--seed", "1")
+                         "--seed", "1", *(["--segments"] if segments else []))
     assert code == 1 and out == ""
     lines = err.splitlines()
     assert lines[0].startswith("FAIL: ")
-    assert "structural bound violation" in lines[0]
-    assert lines[1] == f"failing prefix ({first[0] + 1} of 300 ops):"
-    assert len(lines) == 2 + first[0] + 1
+    assert bound in lines[0]
+    assert lines[1] == f"failing prefix ({first + 1} of 300 ops):"
+    assert len(lines) == 2 + first + 1
 
 
 def test_verify_prefixes_an_audit_failure(monkeypatch, capsys):
@@ -534,6 +618,27 @@ def test_bench_bad_flags(capsys):
     assert code == 2
     code, _, _ = run(capsys, "bench", "--n", "1", "--algo", "lict")
     assert code == 2
+
+
+def test_bench_hull_without_nc(capsys):
+    # the free-range hull workload: lict and cht fold the same answers
+    sums = set()
+    for algo in ("lict", "cht"):
+        code, out, _ = run(capsys, "bench", "--n", "300", "--dist", "hull",
+                           "--algo", algo, "--reps", "1")
+        assert code == 0
+        assert f"n=300 dist=hull algo={algo}" in out
+        sums.add(out.split("checksum=")[1])
+    assert len(sums) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ("bench", "--n", "10", "--algo", "lict", "--reps", "1"),
+    ("verify", "--ops", "10")], ids=["bench", "verify"])
+def test_negative_seed_is_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv, "--seed", "-1")
+    assert (code, out) == (2, "")
+    assert "--seed >= 0" in err
 
 
 def test_unknown_subcommand(capsys):

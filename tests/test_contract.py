@@ -85,9 +85,11 @@ def test_engines_share_one_contract_at_the_int64_edges(orientation):
                     sign * min(sign * (k * x + b) for k, b in kept)
                     for x in xs]
             assert [t.query(x) for x in xs] == want
-            assert t._kernel(t._root, xs) == want
+            # with nothing kept, the empty root node makes the kernels
+            # decline; full lines leave no other empty node
+            assert t._kernel(t._root, xs) == (want if kept else None)
             assert [f.query(v, x) for x in xs] == want
-            assert f._kernel(f._roots[v], xs) == want
+            assert f._kernel(f._roots[v], xs) == (want if kept else None)
             if z is not None:
                 assert [z.query(x) for x in xs] == want
                 assert z._kernel(xs) == want

@@ -8,7 +8,7 @@ from lichao import (Domain, I64_MAX, I64_MIN, InvalidDomainError,
                     InvalidSegmentError, LiChaoTree, Line, NaiveSet,
                     OutOfDomainError, PersistentForest, RoutingDominanceError,
                     ZkwTree)
-from lichao.core import NIL
+from lichao.core import _EMPTY, NIL
 
 # four lines whose insertion exercises keep, route-left, route-right and a
 # displacement swap on the [0, 8] domain
@@ -370,11 +370,11 @@ def test_max_orientation_segments():
 
 
 def assert_batches_match(t, xs):
-    """query_many and the kernel (None means it declined) both equal
-    scalar query."""
+    """query_many equals scalar query, and so does the kernel, which
+    declines (None) exactly when the arena holds an empty node."""
     expected = [t.query(x) for x in xs]
     assert t.query_many(xs) == expected
-    assert t._kernel(t._root, xs) == expected
+    assert t._kernel(t._root, xs) == (None if _EMPTY in t._b else expected)
     return expected
 
 
@@ -403,6 +403,21 @@ def test_query_many_across_segment_pass_through_nodes():
     assert t._b.count(1 << 63) > 0  # empty nodes
     t.insert_line((0, 10**6))
     assert None not in assert_batches_match(t, list(range(-40, 88)))
+
+
+def test_kernel_walks_a_segment_tree_without_empty_nodes():
+    # a segment whose canonical node is a child of a line-holding root
+    # leaves no empty node, so the kernel takes it; a lane that leaves the
+    # tree on the other side lands on the dummy node and keeps I64_MAX
+    xs = list(range(8)) * 20
+    for ln, xl, xr in (((0, 5), 0, 3), ((0, -5), 4, 7)):
+        t = build(Domain(0, 7), [(0, I64_MAX)])
+        t.insert_segment(ln, xl, xr)
+        assert _EMPTY not in t._b
+        want = [ln[1] if xl <= x <= xr else I64_MAX for x in xs]
+        assert [t.query(x) for x in xs] == want
+        assert t._kernel(t._root, xs) == want
+        assert t.query_many(xs) == want
 
 
 def test_query_many_max_orientation_spans_i64_min_plus_one_to_i64_max():
@@ -442,7 +457,9 @@ def test_int64_edge_answers_through_empty_nodes(orientation, edge):
                                if xl <= x <= xr]) for x in xs]
         assert [t.query(x) for x in xs] == want
         assert t.query_many(xs) == want
-        assert t._kernel(t._root, xs) == want
+        # the segments' pass-through nodes are empty: the kernel declines
+        # and query_many's scalar loop answers
+        assert _EMPTY in t._b and t._kernel(t._root, xs) is None
         assert None not in want
         assert t.audit_routed_optimality() == []
 
@@ -495,6 +512,12 @@ def test_query_many_rejects_an_out_of_domain_x():
     assert empty._kernel(empty._root, [4]) is None
     with pytest.raises(OutOfDomainError):
         empty.query_many([4] * 130)
+
+
+def test_an_unknown_orientation_is_refused():
+    for cls in (LiChaoTree, PersistentForest):
+        with pytest.raises(ValueError, match="orientation must be"):
+            cls(Domain(0, 7), "sideways")
 
 
 def test_coefficients_and_domains_outside_int64_are_rejected_up_front():
